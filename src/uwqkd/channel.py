@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 _CLAMP_SLACK = 1e-12
 
 
@@ -37,28 +39,25 @@ class ChannelParams:
     bob_includes_detector: bool = False
 
     def __post_init__(self):
+        # each range check is written so that NaN fails it
+        if not 0 < self.pulse_rate_hz < math.inf:
+            raise ValueError(f"pulse_rate_hz must be finite and > 0, got {self.pulse_rate_hz}")
         if self.detection_window_s is None:
             object.__setattr__(self, "detection_window_s", 1.0 / self.pulse_rate_hz)
-        if not 0 < self.eta_detector <= 1:
-            raise ValueError(f"eta_detector must be in (0,1], got {self.eta_detector}")
-        if not 0 < self.eta_bob <= 1:
-            raise ValueError(f"eta_bob must be in (0,1], got {self.eta_bob}")
-        if self.alpha_db_per_m < 0:
-            raise ValueError("alpha_db_per_m must be >= 0")
-        if self.length_m < 0:
-            raise ValueError("length_m must be >= 0")
-        if self.dark_rate_hz < 0:
-            raise ValueError("dark_rate_hz must be >= 0")
-        if self.pulse_rate_hz <= 0:
-            raise ValueError("pulse_rate_hz must be > 0")
-        if self.detection_window_s <= 0:
-            raise ValueError("detection_window_s must be > 0")
+        for name in ("eta_detector", "eta_bob"):
+            if not 0 < getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in (0,1], got {getattr(self, name)}")
+        for name in ("alpha_db_per_m", "length_m", "dark_rate_hz"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0 < self.detection_window_s < math.inf:
+            raise ValueError("detection_window_s must be finite and > 0")
         if not 0 <= self.e_det < 0.5:
             raise ValueError(f"e_det must be in [0,0.5), got {self.e_det}")
         if self.e0 != 0.5:
             raise ValueError("e0 is fixed at 1/2 (unpolarized background)")
-        if self.f_ec < 1:
-            raise ValueError("f_ec must be >= 1")
+        if not 1 <= self.f_ec < math.inf:
+            raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec}")
 
     def at_length(self, length_m: float) -> "ChannelParams":
         return replace(self, length_m=length_m)
@@ -95,6 +94,22 @@ def yield_n(eta: float, y0: float, n: int) -> float:
     return _clamp_unit(y)
 
 
+def _gain_qber(mu, eta, y0, e_det, e0=0.5):
+    """Gain and QBER of a Poissonian source, on broadcastable arrays.
+
+    Returns ``(q, e, s, d)``: the gain Q = Y0 + s, the QBER E, and their
+    signal parts s = Q - Y0 = 1 - exp(-eta mu) and d = E Q - e0 Y0 = e_det s.
+    The decoy bounds take s and d directly, so Y0 is never subtracted back
+    out of a gain it dominates.  s is capped at 1 - Y0 so that Q <= 1.
+    """
+    s = np.minimum(-np.expm1(-eta * mu), 1.0 - y0)
+    q = y0 + s
+    d = e_det * s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.minimum(0.5, (e0 * y0 + d) / q)
+    return q, e, s, d
+
+
 def gain_model(mu: float, eta: float, y0: float) -> float:
     """Gain of a Poissonian source of mean photon number mu.
 
@@ -102,31 +117,28 @@ def gain_model(mu: float, eta: float, y0: float) -> float:
     """
     if mu < 0:
         raise ValueError("mean photon number must be >= 0")
-    return _clamp_unit(y0 + 1.0 - math.exp(-eta * mu))
+    return _clamp_unit(float(_gain_qber(mu, eta, y0, 0.0)[0]))
 
 
 def qber_model(mu: float, eta: float, y0: float, e_det: float, e0: float = 0.5) -> float:
     """Modeled QBER: misaligned signal clicks plus unpolarized dark counts."""
-    q = gain_model(mu, eta, y0)
+    if mu < 0:
+        raise ValueError("mean photon number must be >= 0")
+    q, e, _, _ = _gain_qber(mu, eta, y0, e_det, e0)
     if q == 0.0:
         raise ValueError("undefined QBER: zero gain (no background and no signal)")
-    e = (e0 * y0 + e_det * (1.0 - math.exp(-eta * mu))) / q
-    return min(e, 0.5)
+    return float(e)
 
 
 def gain_stats(p: ChannelParams, mu: float, nu: float) -> GainStats:
     """Signal/decoy gain and QBER record for one channel configuration."""
     if not 0 <= nu < mu:
         raise ValueError(f"invalid decoy ordering: need 0 <= nu < mu, got mu={mu}, nu={nu}")
-    eta = transmittance(p)
     y0 = background_yield(p)
-    return GainStats(
-        q_mu=gain_model(mu, eta, y0),
-        e_mu=qber_model(mu, eta, y0, p.e_det, p.e0),
-        q_nu=gain_model(nu, eta, y0),
-        e_nu=qber_model(nu, eta, y0, p.e_det, p.e0),
-        y0=y0,
-    )
+    q, e, _, _ = _gain_qber(np.array([mu, nu]), transmittance(p), y0, p.e_det, p.e0)
+    if q[1] == 0.0:
+        raise ValueError("undefined QBER: zero gain (no background and no signal)")
+    return GainStats(q_mu=float(q[0]), e_mu=float(e[0]), q_nu=float(q[1]), e_nu=float(e[1]), y0=y0)
 
 
 def _clamp_unit(x: float) -> float:

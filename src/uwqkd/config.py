@@ -24,6 +24,7 @@ _CHANNEL_KEYS = (
 )
 
 _OPTIMIZER_KEYS = ("nu_min", "coarse_grid", "refine_iterations", "tolerance", "mu_max")
+_INT_KEYS = ("coarse_grid", "refine_iterations")
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,25 @@ class RunConfig:
     modulation_rate_hz: float = 1e8
 
 
+def _check_type(key: str, value) -> None:
+    """Reject a JSON value of the wrong type before it reaches the records."""
+    if key == "bob_includes_detector":
+        ok, kind = isinstance(value, bool), "true or false"
+    else:
+        kind, types = ("an integer", int) if key in _INT_KEYS else ("a number", (int, float))
+        ok = isinstance(value, types) and not isinstance(value, bool)
+        ok = ok or (key == "detection_window_s" and value is None)
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
+
+
 def config_from_dict(d: dict) -> RunConfig:
     known = set(_CHANNEL_KEYS) | set(_OPTIMIZER_KEYS) | {"modulation_rate_hz"}
     unknown = set(d) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in d.items():
+        _check_type(key, value)
     channel = ChannelParams(**{k: d[k] for k in _CHANNEL_KEYS if k in d})
     opt_kwargs = {k: d[k] for k in _OPTIMIZER_KEYS if k in d and k != "mu_max"}
     if "mu_max" in d:

@@ -13,9 +13,12 @@ optimization sweeps can traverse vacuous parameter regions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .channel import ChannelParams, GainStats, gain_stats
+import numpy as np
+
+from . import channel
+from .channel import ChannelParams, GainStats, _gain_qber
 
 FLAG_VACUOUS = "vacuous"
 FLAG_NO_POSITIVE_KEY = "no_positive_key"
@@ -35,7 +38,6 @@ class KeyRateResult:
     k_per_pulse: float
     mu: float
     nu: float
-    bits_per_second: float | None = None
     components: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
 
@@ -44,13 +46,24 @@ class KeyRateResult:
         return FLAG_NO_POSITIVE_KEY in self.flags
 
 
-def binary_entropy(e: float) -> float:
-    """Shannon entropy H(e) in bits, with H(0) = H(1) = 0 by continuity."""
+def _entropy(e):
+    """Binary entropy in bits on an array of error rates in [0, 1].
+
+    The logarithms' arguments are floored at the smallest subnormal float,
+    so H(0) = H(1) = 0 comes out as 0 * -1074 rather than 0 * log2(0) = NaN.
+    """
+    return -(e * np.log2(np.maximum(e, 5e-324)) + (1 - e) * np.log2(np.maximum(1 - e, 5e-324)))
+
+
+def _check_error_rate(e: float) -> None:
     if not 0 <= e <= 1:
         raise ValueError(f"error rate must be in [0,1], got {e}")
-    if e == 0 or e == 1:
-        return 0.0
-    return -e * math.log2(e) - (1 - e) * math.log2(1 - e)
+
+
+def binary_entropy(e: float) -> float:
+    """Shannon entropy H(e) in bits, with H(0) = H(1) = 0 by continuity."""
+    _check_error_rate(e)
+    return float(_entropy(e))
 
 
 def ideal_bb84_rate(q: float, e: float) -> float:
@@ -76,42 +89,64 @@ def poisson_pn(mu: float, n: int) -> float:
     return mu**n * math.exp(-mu) / math.factorial(n)
 
 
-def q1_lower_bound(q_mu: float, q_nu: float, mu: float, nu: float, y0: float) -> float:
-    """Lower bound on the single-photon gain Q1, clamped below at 0."""
+def _decoy_bounds(s_mu, s_nu, d_nu, mu, nu, y0):
+    """Single-photon gain and error bounds, on broadcastable arrays.
+
+    Takes the signal parts of the gains, s = Q - Y0, and of the decoy's error
+    gain, d = E Q - Y0/2 (see ``channel._gain_qber``), with Y0 folded in as
+    Q e^x - Y0 = s e^x + Y0 expm1(x), so no term cancels at small nu.
+    Returns ``(q1, e1, vacuous)``: Q1 clamped below at 0, e1 clamped into
+    [0, 1/2] (1/2 where Q1 = 0), and where either clamp fired.
+    """
+    exp_nu, exp_mu = np.exp(nu), np.exp(mu)
+    dark_nu = y0 * np.expm1(nu)
+    p1 = mu / exp_mu  # single-photon probability mu e^-mu
+    r = nu / mu
+    bracket = s_nu * exp_nu + dark_nu - r * r * (s_mu * exp_mu + y0 * np.expm1(mu))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q1 = np.maximum(0.0, p1 / (r * (mu - nu)) * bracket)
+        e1_raw = (d_nu * exp_nu + 0.5 * dark_nu) * p1 / (q1 * nu)
+    e1 = np.where(q1 > 0, np.minimum(0.5, np.maximum(0.0, e1_raw)), 0.5)
+    return q1, e1, e1 != e1_raw
+
+
+def _key_fraction(q_mu, e_mu, q1, e1, f_ec):
+    """Unclamped K = 1/2 [Q1 (1 - H(e1)) - f Q_mu H(E_mu)], on arrays."""
+    return 0.5 * (q1 * (1 - _entropy(e1)) - f_ec * q_mu * _entropy(e_mu))
+
+
+def _check_ordering(mu: float, nu: float) -> None:
     if not 0 < nu < mu:
         raise ValueError(f"invalid decoy ordering: need 0 < nu < mu, got mu={mu}, nu={nu}")
-    pref = mu**2 * math.exp(-mu) / (mu * nu - nu**2)
-    raw = pref * (
-        q_nu * math.exp(nu)
-        - q_mu * math.exp(mu) * nu**2 / mu**2
-        - (mu**2 - nu**2) / mu**2 * y0
-    )
-    return max(0.0, raw)
 
 
-def e1_upper_bound(
-    e_nu: float, q_nu: float, nu: float, y0: float, q1_lower: float, mu: float
-) -> float:
-    """Upper bound on the single-photon error rate e1, clamped into [0, 0.5]."""
-    if nu <= 0:
-        raise ValueError("nu must be > 0")
-    if q1_lower <= 0:
-        raise ValueError("vacuous single-photon estimate: q1_lower must be > 0")
-    raw = (e_nu * q_nu * math.exp(nu) - y0 / 2.0) / (q1_lower * nu / (mu * math.exp(-mu)))
-    return min(0.5, max(0.0, raw))
+def q1_lower_bound(q_mu: float, q_nu: float, mu: float, nu: float, y0: float) -> float:
+    """Lower bound on the single-photon gain Q1, clamped below at 0."""
+    _check_ordering(mu, nu)
+    return float(_decoy_bounds(q_mu - y0, q_nu - y0, 0.0, mu, nu, y0)[0])
 
 
 def estimate_single_photon(stats: GainStats, mu: float, nu: float) -> DecoyEstimate:
     """Bound Q1 and e1 from the measured (or modeled) signal/decoy gains."""
-    q1 = q1_lower_bound(stats.q_mu, stats.q_nu, mu, nu, stats.y0)
-    if q1 == 0.0:
-        return DecoyEstimate(q1_lower=0.0, e1_upper=0.5, vacuous=True)
-    raw = (stats.e_nu * stats.q_nu * math.exp(nu) - stats.y0 / 2.0) / (
-        q1 * nu / (mu * math.exp(-mu))
+    _check_ordering(mu, nu)
+    y0 = stats.y0
+    q1, e1, vacuous = _decoy_bounds(
+        stats.q_mu - y0, stats.q_nu - y0, stats.e_nu * stats.q_nu - 0.5 * y0, mu, nu, y0
     )
-    clamped = raw < 0 or raw > 0.5
-    e1 = min(0.5, max(0.0, raw))
-    return DecoyEstimate(q1_lower=q1, e1_upper=e1, vacuous=clamped)
+    return DecoyEstimate(q1_lower=float(q1), e1_upper=float(e1), vacuous=bool(vacuous))
+
+
+def _result(k, mu, nu, components, vacuous) -> KeyRateResult:
+    flags = (FLAG_VACUOUS,) if vacuous else ()
+    if k <= 0:
+        flags += (FLAG_NO_POSITIVE_KEY,)
+    return KeyRateResult(
+        k_per_pulse=max(0.0, float(k)),
+        mu=mu,
+        nu=nu,
+        components={name: float(v) for name, v in components.items()},
+        flags=flags,
+    )
 
 
 def decoy_key_rate(
@@ -121,7 +156,6 @@ def decoy_key_rate(
     mu: float = float("nan"),
     nu: float = float("nan"),
     e_mu_override: float | None = None,
-    modulation_rate_hz: float | None = None,
 ) -> KeyRateResult:
     """Secret key fraction per pulse for the decoy protocol.
 
@@ -130,32 +164,31 @@ def decoy_key_rate(
     bounds are taken from ``est`` unchanged.
     """
     e_mu = stats.e_mu if e_mu_override is None else e_mu_override
-    raw = 0.5 * (
-        -stats.q_mu * f_ec * binary_entropy(e_mu)
-        + est.q1_lower * (1 - binary_entropy(est.e1_upper))
+    _check_error_rate(e_mu)
+    _check_error_rate(est.e1_upper)
+    k = _key_fraction(stats.q_mu, e_mu, est.q1_lower, est.e1_upper, f_ec)
+    components = {**asdict(stats), "e_mu": e_mu, "q1_lower": est.q1_lower, "e1_upper": est.e1_upper}
+    return _result(k, mu, nu, components, est.vacuous)
+
+
+def _key_rate_arrays(p: ChannelParams, mu, nu, qber_override: float | None = None):
+    """Channel model -> decoy bounds -> key rate, on broadcastable (mu, nu) arrays.
+
+    Returns the unclamped K, the ``KeyRateResult.components`` as arrays and
+    the vacuous mask; callers screen out points with nu >= mu or zero gain.
+    """
+    # looked up on the module, where perfbench's tracer counts channel-layer calls
+    eta, y0 = channel.transmittance(p), channel.background_yield(p)
+    q_mu, e_mu, s_mu, _ = _gain_qber(mu, eta, y0, p.e_det, p.e0)
+    q_nu, e_nu, s_nu, d_nu = _gain_qber(nu, eta, y0, p.e_det, p.e0)
+    q1, e1, vacuous = _decoy_bounds(s_mu, s_nu, d_nu, mu, nu, y0)
+    if qber_override is not None:
+        e_mu = qber_override
+    k = _key_fraction(q_mu, e_mu, q1, e1, p.f_ec)
+    components = dict(
+        q_mu=q_mu, e_mu=e_mu, q_nu=q_nu, e_nu=e_nu, y0=y0, q1_lower=q1, e1_upper=e1
     )
-    flags = []
-    if est.vacuous:
-        flags.append(FLAG_VACUOUS)
-    if raw <= 0:
-        flags.append(FLAG_NO_POSITIVE_KEY)
-    k = max(0.0, raw)
-    return KeyRateResult(
-        k_per_pulse=k,
-        mu=mu,
-        nu=nu,
-        bits_per_second=None if modulation_rate_hz is None else k * modulation_rate_hz,
-        components={
-            "q_mu": stats.q_mu,
-            "e_mu": e_mu,
-            "q_nu": stats.q_nu,
-            "e_nu": stats.e_nu,
-            "y0": stats.y0,
-            "q1_lower": est.q1_lower,
-            "e1_upper": est.e1_upper,
-        },
-        flags=tuple(flags),
-    )
+    return k, components, vacuous
 
 
 def evaluate_key_rate(
@@ -163,17 +196,12 @@ def evaluate_key_rate(
     mu: float,
     nu: float,
     qber_override: float | None = None,
-    modulation_rate_hz: float | None = None,
 ) -> KeyRateResult:
     """Full pipeline: channel model -> decoy bounds -> key rate."""
-    stats = gain_stats(p, mu, nu)
-    est = estimate_single_photon(stats, mu, nu)
-    return decoy_key_rate(
-        stats,
-        est,
-        p.f_ec,
-        mu=mu,
-        nu=nu,
-        e_mu_override=qber_override,
-        modulation_rate_hz=modulation_rate_hz,
-    )
+    _check_ordering(mu, nu)
+    if qber_override is not None:
+        _check_error_rate(qber_override)
+    k, components, vacuous = _key_rate_arrays(p, mu, nu, qber_override)
+    if components["q_nu"] == 0.0:
+        raise ValueError("undefined QBER: zero gain (no background and no signal)")
+    return _result(k, mu, nu, components, vacuous)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, background_yield, transmittance
+from .channel import ChannelParams, _gain_qber, background_yield, transmittance
 
 BLOCK_SIZE = 2**16
 
@@ -97,23 +97,11 @@ def within_model_band(stats: SessionStats, p: ChannelParams, mu: float, n_se: fl
     channels with near-zero observed error counts do not degenerate the
     band; one count of discreteness slack is allowed on the QBER.
     """
-    from .channel import gain_model, qber_model  # local to avoid cycle at import time
-
-    eta = transmittance(p)
-    y0 = background_yield(p)
-    q_model = gain_model(mu, eta, y0)
+    q_model, e_model, _, _ = _gain_qber(mu, transmittance(p), background_yield(p), p.e_det, p.e0)
     q_se = max(stats.q_se, math.sqrt(q_model * (1 - q_model) / stats.pulses_sent))
     ok = abs(stats.q_hat - q_model) <= n_se * q_se
     if stats.sifted > 0 and stats.e_hat is not None:
-        e_model = qber_model(mu, eta, y0, p.e_det, p.e0)
         e_se = max(stats.e_se or 0.0, math.sqrt(e_model * (1 - e_model) / stats.sifted))
         ok = ok and abs(stats.e_hat - e_model) <= n_se * e_se + 1.0 / stats.sifted
     return ok
 
-
-def estimate_gain_qber(stats: SessionStats) -> tuple[float, float]:
-    """(gain, QBER) point estimates from raw session counts."""
-    q_hat = stats.detections / stats.pulses_sent
-    if stats.sifted == 0:
-        raise ValueError("no sifted events: QBER undefined")
-    return q_hat, stats.errors / stats.sifted

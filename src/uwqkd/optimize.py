@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, background_yield, transmittance
-from .decoy import KeyRateResult, evaluate_key_rate
+from .channel import ChannelParams
+from .decoy import KeyRateResult, _key_rate_arrays, evaluate_key_rate
 
 _INVPHI = (math.sqrt(5) - 1) / 2
 
@@ -28,14 +28,16 @@ class OptimizerConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.nu_min <= 0:
-            raise ValueError("nu_min must be > 0")
+        if not 0 < self.nu_min < math.inf:
+            raise ValueError(f"nu_min must be finite and > 0, got {self.nu_min}")
         if self.coarse_grid < 8:
             raise ValueError("coarse_grid must be >= 8 points per axis")
-        if not 0 <= self.mu_range[0] < self.mu_range[1]:
+        if not 0 <= self.mu_range[0] < self.mu_range[1] < math.inf:
             raise ValueError(f"invalid mu_range {self.mu_range}")
         if self.refine_iterations < 0:
             raise ValueError("refine_iterations must be >= 0")
+        if not 0 <= self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -57,57 +59,15 @@ class RateCurve:
             raise ValueError("curve lengths must be strictly increasing")
 
 
-def _entropy_arr(e: np.ndarray) -> np.ndarray:
-    e = np.clip(e, 0.0, 1.0)
-    out = np.zeros_like(e)
-    inner = (e > 0) & (e < 1)
-    x = e[inner]
-    out[inner] = -x * np.log2(x) - (1 - x) * np.log2(1 - x)
-    return out
-
-
 def _k_grid(
     p: ChannelParams,
     mu: np.ndarray,
     nu: np.ndarray,
     qber_override: float | None = None,
 ) -> np.ndarray:
-    """Vectorized key rate on broadcastable (mu, nu) arrays; invalid points -> -inf."""
-    eta = transmittance(p)
-    y0 = background_yield(p)
-    mu, nu = np.broadcast_arrays(mu, nu)
-    sig_mu = 1.0 - np.exp(-eta * mu)
-    sig_nu = 1.0 - np.exp(-eta * nu)
-    q_mu = np.minimum(1.0, y0 + sig_mu)
-    q_nu = np.minimum(1.0, y0 + sig_nu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e_mu = np.minimum(0.5, (p.e0 * y0 + p.e_det * sig_mu) / q_mu)
-        e_nu = np.minimum(0.5, (p.e0 * y0 + p.e_det * sig_nu) / q_nu)
-        q1 = (
-            mu**2
-            * np.exp(-mu)
-            / (mu * nu - nu**2)
-            * (
-                q_nu * np.exp(nu)
-                - q_mu * np.exp(mu) * nu**2 / mu**2
-                - (mu**2 - nu**2) / mu**2 * y0
-            )
-        )
-        q1 = np.maximum(0.0, q1)
-        e1 = np.where(
-            q1 > 0,
-            (e_nu * q_nu * np.exp(nu) - y0 / 2.0) / np.where(q1 > 0, q1, 1.0)
-            * (mu * np.exp(-mu))
-            / nu,
-            0.5,
-        )
-    e1 = np.clip(e1, 0.0, 0.5)
-    if qber_override is not None:
-        e_mu = np.full_like(e_mu, qber_override)
-    k = 0.5 * (-q_mu * p.f_ec * _entropy_arr(e_mu) + q1 * (1 - _entropy_arr(e1)))
-    k = np.where(nu < mu, k, -np.inf)
-    k = np.where(q_mu > 0, k, -np.inf)
-    return k
+    """Key rate on broadcastable (mu, nu) arrays; invalid points -> -inf."""
+    k, components, _ = _key_rate_arrays(p, mu, nu, qber_override)
+    return np.where((nu < mu) & (components["q_mu"] > 0), k, -np.inf)
 
 
 def _golden_max(f, a: float, b: float, tol: float = 1e-9) -> tuple[float, float]:
@@ -132,7 +92,6 @@ def optimize_mu_nu(
     p: ChannelParams,
     cfg: OptimizerConfig | None = None,
     qber_override: float | None = None,
-    modulation_rate_hz: float | None = None,
 ) -> KeyRateResult:
     """Maximize the decoy key rate over nu_min <= nu < mu <= mu_max."""
     cfg = cfg or OptimizerConfig()
@@ -174,10 +133,7 @@ def optimize_mu_nu(
             if best_k - prev_k <= cfg.tolerance * max(prev_k, 1e-300):
                 break
 
-    result = evaluate_key_rate(
-        p, best_mu, best_nu, qber_override=qber_override, modulation_rate_hz=modulation_rate_hz
-    )
-    return result
+    return evaluate_key_rate(p, best_mu, best_nu, qber_override=qber_override)
 
 
 def distance_sweep(

@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from uwqkd.channel import ChannelParams, gain_model, qber_model
-from uwqkd.decoy import e1_upper_bound, q1_lower_bound, sifted_key_fraction
+from uwqkd.channel import ChannelParams, GainStats, gain_model, qber_model
+from uwqkd.decoy import estimate_single_photon, q1_lower_bound, sifted_key_fraction
 from uwqkd.montecarlo import simulate_session, within_model_band
 from uwqkd.optimize import distance_sweep, max_secure_distance, optimize_mu_nu
 from uwqkd.qstate import PolLabel, make_pol_state, overlap_prob, qplate_apply, superpose, vector_mub_states
@@ -153,7 +153,8 @@ class TestCriterion5BoundValidity:
                 violations += 1
             if q1 > 0:
                 e_nu = qber_model(nu, eta, y0, e_det)
-                e1 = e1_upper_bound(e_nu, q_nu, nu, y0, q1, mu)
+                stats = GainStats(q_mu, qber_model(mu, eta, y0, e_det), q_nu, e_nu, y0)
+                e1 = estimate_single_photon(stats, mu, nu).e1_upper
                 if e1 < min(0.5, e1_true(eta, y0, e_det)) - 1e-12:
                     violations += 1
         ok = violations == 0

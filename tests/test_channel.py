@@ -31,10 +31,18 @@ class TestParams:
             dict(e_det=0.5),
             dict(e0=0.3),
             dict(f_ec=0.9),
+            dict(f_ec=math.nan),
+            dict(alpha_db_per_m=math.nan),
+            dict(length_m=math.nan),
+            dict(dark_rate_hz=math.nan),
+            dict(length_m=math.inf),
+            dict(pulse_rate_hz=0.0),
+            dict(detection_window_s=math.inf),
         ],
     )
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
             ChannelParams(**kwargs)
 
 

@@ -46,6 +46,23 @@ class TestConfig:
         cfg = load_config(None)
         assert cfg.channel.alpha_db_per_m == 0.57
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"e_det": "0.01"}', "e_det"),
+            ('{"coarse_grid": null}', "coarse_grid"),
+            ('{"coarse_grid": 24.5}', "coarse_grid"),
+            ('{"f_ec": true}', "f_ec"),
+            ('{"bob_includes_detector": 1}', "bob_includes_detector"),
+            ('{"alpha_db_per_m": NaN}', "alpha_db_per_m"),
+        ],
+    )
+    def test_bad_value_exits_1(self, text, key, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["keyrate", "--config", str(path), "--mu", "0.5", "--nu", "0.1"]) == 1
+        assert key in capsys.readouterr().err
+
 
 class TestKeyrate:
     def test_fixed_mu_nu(self, config_file, capsys):
@@ -53,6 +70,7 @@ class TestKeyrate:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["k_per_pulse"] > 0
+        assert payload["bits_per_second"] == payload["k_per_pulse"] * 1e8
         assert payload["bits_per_second_1ghz"] == payload["k_per_pulse"] * 1e9
         assert payload["bits_per_second_100mhz"] == payload["k_per_pulse"] * 1e8
 

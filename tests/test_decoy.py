@@ -11,7 +11,6 @@ from uwqkd.decoy import (
     DecoyEstimate,
     binary_entropy,
     decoy_key_rate,
-    e1_upper_bound,
     estimate_single_photon,
     evaluate_key_rate,
     ideal_bb84_rate,
@@ -137,22 +136,32 @@ class TestE1Bound:
         # numerator exactly zero: every error attributed to dark counts
         y0, nu, q_nu = 1e-4, 0.1, 0.2
         e_nu = y0 / (2 * q_nu * math.exp(nu))
-        assert e1_upper_bound(e_nu, q_nu, nu, y0, 0.05, 0.5) == pytest.approx(0.0, abs=1e-15)
+        est = estimate_single_photon(GainStats(0.5, 0.01, q_nu, e_nu, y0), 0.5, nu)
+        assert est.q1_lower > 0
+        assert est.e1_upper == pytest.approx(0.0, abs=1e-15)
 
     def test_example_channel(self):
         eta, y0, mu, nu, e_det = 0.1, 1e-5, 0.5, 0.1, 0.01
-        q_nu = gain_model(nu, eta, y0)
-        e_nu = qber_model(nu, eta, y0, e_det)
-        q1 = q1_lower_bound(gain_model(mu, eta, y0), q_nu, mu, nu, y0)
-        bound = e1_upper_bound(e_nu, q_nu, nu, y0, q1, mu)
+        stats = GainStats(
+            gain_model(mu, eta, y0),
+            qber_model(mu, eta, y0, e_det),
+            gain_model(nu, eta, y0),
+            qber_model(nu, eta, y0, e_det),
+            y0,
+        )
+        bound = estimate_single_photon(stats, mu, nu).e1_upper
         assert e1_true(eta, y0, e_det) - 1e-12 <= bound <= 0.5
 
     def test_negative_numerator_clamped(self):
-        assert e1_upper_bound(0.0, 0.01, 0.1, 1e-3, 0.05, 0.5) == 0.0
+        est = estimate_single_photon(GainStats(0.05, 0.0, 0.01, 0.0, 1e-3), 0.5, 0.1)
+        assert est.q1_lower > 0
+        assert est.e1_upper == 0.0
+        assert est.vacuous
 
-    def test_vacuous_estimate_rejected(self):
-        with pytest.raises(ValueError):
-            e1_upper_bound(0.01, 0.01, 0.1, 0.0, 0.0, 0.5)
+    def test_vacuous_estimate_flagged(self):
+        # decoy gain too small for the signal gain: the Q1 bound clamps to 0
+        est = estimate_single_photon(GainStats(0.5, 0.01, 0.01, 0.01, 0.0), 0.5, 0.1)
+        assert (est.q1_lower, est.e1_upper, est.vacuous) == (0.0, 0.5, True)
 
 
 class TestBoundValidityRandomized:
@@ -170,7 +179,8 @@ class TestBoundValidityRandomized:
             assert q1 <= q1_true(mu, eta, y0) + 1e-12
             if q1 > 0:
                 e_nu = qber_model(nu, eta, y0, e_det)
-                e1 = e1_upper_bound(e_nu, q_nu, nu, y0, q1, mu)
+                stats = GainStats(q_mu, qber_model(mu, eta, y0, e_det), q_nu, e_nu, y0)
+                e1 = estimate_single_photon(stats, mu, nu).e1_upper
                 assert e1 >= min(0.5, e1_true(eta, y0, e_det)) - 1e-12
 
 
@@ -222,10 +232,6 @@ class TestKeyRate:
         base = evaluate_key_rate(p, 0.5, 0.1)
         overridden = evaluate_key_rate(p, 0.5, 0.1, qber_override=0.02)
         assert overridden.k_per_pulse < base.k_per_pulse
-
-    def test_bits_per_second(self, dark_only_params):
-        res = evaluate_key_rate(dark_only_params.at_length(10.5), 0.5, 0.1, modulation_rate_hz=1e8)
-        assert res.bits_per_second == pytest.approx(res.k_per_pulse * 1e8)
 
 
 @settings(max_examples=50, deadline=None)

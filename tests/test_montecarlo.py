@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from uwqkd.channel import ChannelParams, background_yield, gain_model, transmittance
-from uwqkd.montecarlo import (
-    SessionStats,
-    estimate_gain_qber,
-    simulate_session,
-    within_model_band,
-)
+from uwqkd.montecarlo import simulate_session, within_model_band
 
 
 class TestSimulateSession:
@@ -79,15 +74,19 @@ class TestModelAgreement:
 
 
 class TestEstimate:
-    def test_arithmetic(self):
-        s = SessionStats(1000, 100, 50, 25, 0.1, 0.5, 0.0, 0.0, 0)
-        assert estimate_gain_qber(s) == (0.1, 0.5)
+    def test_arithmetic(self, flume_params):
+        s = simulate_session(flume_params.at_length(10.5), 0.5, 100_000, 7)
+        assert s.q_hat == s.detections / s.pulses_sent
+        assert s.e_hat == s.errors / s.sifted
 
     def test_no_detections(self):
-        s = SessionStats(1000, 0, 0, 0, 0.0, None, 0.0, None, 0)
-        with pytest.raises(ValueError):
-            estimate_gain_qber(s)
+        s = simulate_session(ChannelParams(dark_rate_hz=0), 0.0, 1000, 0)
+        assert s.sifted == 0
+        assert s.e_hat is None and s.e_se is None
 
     def test_half_errors(self):
-        s = SessionStats(1000, 200, 100, 50, 0.2, 0.5, 0.0, 0.0, 0)
-        assert estimate_gain_qber(s)[1] == 0.5
+        # dark counts only: each sifted click is a coin flip
+        p = ChannelParams(alpha_db_per_m=10.0, length_m=30.0, dark_rate_hz=1e6, e_det=0.0)
+        s = simulate_session(p, 0.1, 200_000, 5)
+        assert s.e_hat == s.errors / s.sifted
+        assert s.e_hat == pytest.approx(0.5, abs=4 * s.e_se)

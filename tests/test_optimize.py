@@ -39,6 +39,10 @@ class TestConfig:
             OptimizerConfig(nu_min=0)
         with pytest.raises(ValueError):
             OptimizerConfig(coarse_grid=4)
+        bad = {"nu_min": math.nan, "mu_range": (0.0, math.inf), "tolerance": math.nan}
+        for field, value in bad.items():
+            with pytest.raises(ValueError, match=field):
+                OptimizerConfig(**{field: value})
 
 
 class TestOptimizeMuNu:
