@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uwqkd.channel import ChannelParams, GainStats, gain_model, qber_model
+from uwqkd.cli import _result_payload
 from uwqkd.decoy import (
     FLAG_NO_POSITIVE_KEY,
     FLAG_VACUOUS,
@@ -232,6 +233,11 @@ class TestKeyRate:
         base = evaluate_key_rate(p, 0.5, 0.1)
         overridden = evaluate_key_rate(p, 0.5, 0.1, qber_override=0.02)
         assert overridden.k_per_pulse < base.k_per_pulse
+
+    def test_bits_per_second(self, dark_only_params):
+        res = evaluate_key_rate(dark_only_params.at_length(10.5), 0.5, 0.1)
+        payload = _result_payload(res, modulation_rate_hz=1e8)
+        assert payload["bits_per_second"] == pytest.approx(res.k_per_pulse * 1e8)
 
 
 @settings(max_examples=50, deadline=None)
