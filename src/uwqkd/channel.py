@@ -142,6 +142,8 @@ def gain_stats(p: ChannelParams, mu: float, nu: float) -> GainStats:
 
 
 def _clamp_unit(x: float) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"probability {x} is not finite")
     if x < -_CLAMP_SLACK:
         raise ValueError(f"probability {x} below 0 beyond numerical slack")
     return min(1.0, max(0.0, x))

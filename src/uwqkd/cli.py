@@ -19,7 +19,7 @@ import numpy as np
 
 from . import decoy, montecarlo
 from .config import load_config
-from .optimize import RateCurve, distance_sweep, max_secure_distance, optimize_mu_nu
+from .optimize import DeadChannelError, RateCurve, distance_sweep, max_secure_distance, optimize_mu_nu
 from .qstate import PolLabel
 from .tomography import (
     AberrationSpec,
@@ -81,7 +81,7 @@ def _cmd_optimize(args) -> int:
     if args.max_distance:
         try:
             d = max_secure_distance(p, cfg.optimizer, l_max=args.l_max)
-        except ValueError:
+        except DeadChannelError:
             payload["max_secure_distance_m"] = None
         else:
             payload["max_secure_distance_m"] = (

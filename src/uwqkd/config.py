@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +33,10 @@ class RunConfig:
     channel: ChannelParams
     optimizer: OptimizerConfig
     modulation_rate_hz: float = 1e8
+
+    def __post_init__(self):
+        if not 0 < self.modulation_rate_hz < math.inf:
+            raise ValueError(f"modulation_rate_hz must be finite and > 0, got {self.modulation_rate_hz}")
 
 
 def _check_type(key: str, value) -> None:

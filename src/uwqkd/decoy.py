@@ -171,24 +171,53 @@ def decoy_key_rate(
     return _result(k, mu, nu, components, est.vacuous)
 
 
-def _key_rate_arrays(p: ChannelParams, mu, nu, qber_override: float | None = None):
-    """Channel model -> decoy bounds -> key rate, on broadcastable (mu, nu) arrays.
+def _key_rate_arrays(eta, y0, e_det, f_ec, qber, mu, nu):
+    """Channel model -> decoy bounds -> key rate, on broadcastable arrays.
 
-    Returns the unclamped K, the ``KeyRateResult.components`` as arrays and
-    the vacuous mask; callers screen out points with nu >= mu or zero gain.
+    Takes per-channel eta, Y0, e_det, f_ec and QBER override (NaN keeps the
+    modeled QBER), then the (mu, nu) arrays.  Returns the unclamped K, the
+    ``KeyRateResult.components`` as arrays and the vacuous mask; callers
+    screen out points with nu >= mu or zero gain.
     """
-    # looked up on the module, where perfbench's tracer counts channel-layer calls
-    eta, y0 = channel.transmittance(p), channel.background_yield(p)
-    q_mu, e_mu, s_mu, _ = _gain_qber(mu, eta, y0, p.e_det, p.e0)
-    q_nu, e_nu, s_nu, d_nu = _gain_qber(nu, eta, y0, p.e_det, p.e0)
+    q_mu, e_mu, s_mu, _ = _gain_qber(mu, eta, y0, e_det)
+    q_nu, e_nu, s_nu, d_nu = _gain_qber(nu, eta, y0, e_det)
     q1, e1, vacuous = _decoy_bounds(s_mu, s_nu, d_nu, mu, nu, y0)
-    if qber_override is not None:
-        e_mu = qber_override
-    k = _key_fraction(q_mu, e_mu, q1, e1, p.f_ec)
+    e_mu = np.where(np.isnan(qber), e_mu, qber)
+    k = _key_fraction(q_mu, e_mu, q1, e1, f_ec)
     components = dict(
         q_mu=q_mu, e_mu=e_mu, q_nu=q_nu, e_nu=e_nu, y0=y0, q1_lower=q1, e1_upper=e1
     )
     return k, components, vacuous
+
+
+def _channel_columns(ps, qber_overrides) -> np.ndarray:
+    """Kernel inputs, one column per channel: rows eta, Y0, e_det, f_ec, QBER override.
+
+    Computed once per channel; a None override becomes NaN (modeled QBER).
+    """
+    for q in qber_overrides:
+        if q is not None:
+            _check_error_rate(q)
+    # looked up on the module, where perfbench's tracer counts channel-layer calls
+    rows = [
+        (channel.transmittance(p), channel.background_yield(p), p.e_det, p.f_ec, math.nan if q is None else q)
+        for p, q in zip(ps, qber_overrides, strict=True)
+    ]
+    return np.array(rows).T
+
+
+def _results(cols: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> list[KeyRateResult]:
+    """Evaluate each channel column at its own (mu, nu); one result each.
+
+    0-d inputs (one channel) give one result, 1-d inputs one per channel.
+    """
+    k, components, vacuous = _key_rate_arrays(*cols, mu, nu)
+    if np.any(components["q_nu"] == 0.0):
+        raise ValueError("undefined QBER: zero gain (no background and no signal)")
+    return [
+        _result(k[i], float(mu[i]), float(nu[i]), {n: v[i] for n, v in components.items()}, vacuous[i])
+        for i in np.ndindex(k.shape)
+    ]
 
 
 def evaluate_key_rate(
@@ -199,9 +228,4 @@ def evaluate_key_rate(
 ) -> KeyRateResult:
     """Full pipeline: channel model -> decoy bounds -> key rate."""
     _check_ordering(mu, nu)
-    if qber_override is not None:
-        _check_error_rate(qber_override)
-    k, components, vacuous = _key_rate_arrays(p, mu, nu, qber_override)
-    if components["q_nu"] == 0.0:
-        raise ValueError("undefined QBER: zero gain (no background and no signal)")
-    return _result(k, mu, nu, components, vacuous)
+    return _results(_channel_columns([p], [qber_override])[:, 0], np.float64(mu), np.float64(nu))[0]

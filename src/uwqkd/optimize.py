@@ -1,26 +1,41 @@
 """Key rate maximization over (mu, nu) and rate-distance analysis.
 
-The objective is smooth and unimodal in practice but cheap, so a dense
-log-uniform coarse grid is evaluated first (vectorized), followed by a few
-passes of coordinate-wise golden-section refinement.  Ties break toward
-smaller mu.
+The objective is smooth and unimodal in practice, so a batch of channels is
+optimized together: a log-uniform coarse grid in a few broadcast kernel calls,
+then rounds of small zoom grids in (log mu, log nu) around each channel's best
+point, vectorized over the batch.  Ties break toward smaller mu.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelParams
-from .decoy import KeyRateResult, _key_rate_arrays, evaluate_key_rate
+from .decoy import KeyRateResult, _channel_columns, _key_rate_arrays, _results
 
-_INVPHI = (math.sqrt(5) - 1) / 2
+_CHUNK_POINTS = 2 * 64 * 64  # coarse-grid points per kernel call, bounding its temporaries
+_ZOOM = np.linspace(-1.0, 1.0, 9)  # zoom offsets in box half-widths; 0 is the current best
+
+
+class DeadChannelError(ValueError):
+    """No positive key even at zero length."""
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Search space and effort of ``optimize_mu_nu``.
+
+    Each of the ``refine_iterations`` passes after the coarse grid is four
+    zoom rounds: a 9 x 9 grid in (log mu, log nu) around the best point, whose
+    half-width starts at one coarse step and shrinks by 4x per round (0 keeps
+    the coarse optimum).  Refinement stops early once that half-width, a
+    relative step in mu and nu, is below ``tolerance``.
+    """
+
     mu_range: tuple[float, float] = (0.0, 1.0)
     nu_min: float = 1e-4
     coarse_grid: int = 64
@@ -59,81 +74,69 @@ class RateCurve:
             raise ValueError("curve lengths must be strictly increasing")
 
 
-def _k_grid(
-    p: ChannelParams,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    qber_override: float | None = None,
-) -> np.ndarray:
-    """Key rate on broadcastable (mu, nu) arrays; invalid points -> -inf."""
-    k, components, _ = _key_rate_arrays(p, mu, nu, qber_override)
+def _k_grid(cols: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Key rate of channel columns (see ``_channel_columns``, reshaped to
+    broadcast) on (mu, nu) arrays; invalid points -> -inf."""
+    k, components, _ = _key_rate_arrays(*cols, mu, nu)
     return np.where((nu < mu) & (components["q_mu"] > 0), k, -np.inf)
 
 
-def _golden_max(f, a: float, b: float, tol: float = 1e-9) -> tuple[float, float]:
-    """Golden-section maximization of f on [a, b]; returns (x, f(x))."""
-    c = b - (b - a) * _INVPHI
-    d = a + (b - a) * _INVPHI
-    fc, fd = f(c), f(d)
-    while abs(b - a) > tol * max(1.0, abs(a) + abs(b)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INVPHI
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INVPHI
-            fd = f(d)
-    x = (a + b) / 2
-    return x, f(x)
+def _axes(cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The log-uniform coarse-grid axes (mus, nus)."""
+    mus = np.geomspace(max(cfg.mu_range[0], 2 * cfg.nu_min), cfg.mu_range[1], cfg.coarse_grid)
+    return mus, np.geomspace(cfg.nu_min, cfg.mu_range[1] * (1 - 1e-9), cfg.coarse_grid)
+
+
+def _coarse_best(cols: np.ndarray, mus: np.ndarray, nus: np.ndarray):
+    """K, mu and nu of each channel column's best coarse-grid point."""
+    best, chunk = [], max(1, _CHUNK_POINTS // (mus.size * nus.size))
+    for c in range(0, cols.shape[1], chunk):
+        k = _k_grid(cols[:, c : c + chunk, None, None], mus[:, None], nus[None, :])
+        k = k.reshape(len(k), -1)
+        # first flat argmax = smallest mu (rows ascend in mu), breaking ties low
+        j = np.argmax(k, axis=1)
+        best.append((k[np.arange(len(k)), j], mus[j // nus.size], nus[j % nus.size]))
+    return [np.concatenate(x) for x in zip(*best)]
 
 
 def optimize_mu_nu(
-    p: ChannelParams,
+    p: ChannelParams | Sequence[ChannelParams],
     cfg: OptimizerConfig | None = None,
-    qber_override: float | None = None,
-) -> KeyRateResult:
-    """Maximize the decoy key rate over nu_min <= nu < mu <= mu_max."""
+    qber_override: float | None | Sequence[float | None] = None,
+) -> KeyRateResult | list[KeyRateResult]:
+    """Maximize the decoy key rate over nu_min <= nu < mu <= mu_max.
+
+    A sequence of channels is optimized as one batch and gives a list of
+    results; ``qber_override`` is then a sequence too (None entries keep the
+    modeled QBER).
+    """
     cfg = cfg or OptimizerConfig()
-    mu_lo = max(cfg.mu_range[0], 2 * cfg.nu_min)
-    mu_hi = cfg.mu_range[1]
-    n = cfg.coarse_grid
-    mus = np.geomspace(mu_lo, mu_hi, n)
-    nus = np.geomspace(cfg.nu_min, mu_hi * (1 - 1e-9), n)
-    k = _k_grid(p, mus[:, None], nus[None, :], qber_override)
-    # first flat argmax = smallest mu (rows ascend in mu), breaking ties low
-    i, j = np.unravel_index(np.argmax(k), k.shape)
-    best_mu, best_nu, best_k = float(mus[i]), float(nus[j]), float(k[i, j])
+    single = isinstance(p, ChannelParams)
+    ps = [p] if single else list(p)
+    if not ps:
+        return []
+    cols = _channel_columns(ps, [qber_override] if single else qber_override or [None] * len(ps))
+    mus, nus = _axes(cfg)
+    best_k, mu, nu = _coarse_best(cols, mus, nus)
 
-    if best_k > 0:
-        step = (mu_hi / mu_lo) ** (1 / (n - 1))
-        for _ in range(cfg.refine_iterations):
-            prev_k = best_k
+    live = np.flatnonzero(best_k > 0)
+    c, m, v, kb = cols[:, live, None, None], mu[live], nu[live], best_k[live]
+    steps, at = np.log([mus[1] / mus[0], nus[1] / nus[0]]), np.arange(live.size)
+    for r in range(4 * cfg.refine_iterations):
+        half = steps / 4.0**r
+        if half.max() < cfg.tolerance or not live.size:
+            break
+        mz = np.clip(m[:, None] * np.exp(half[0] * _ZOOM), mus[0], mus[-1])
+        vz = np.clip(v[:, None] * np.exp(half[1] * _ZOOM), nus[0], nus[-1])
+        kz = _k_grid(c, mz[:, :, None], vz[:, None, :]).reshape(live.size, -1)
+        j = np.argmax(kz, axis=1)
+        up = kz[at, j] >= kb  # so K never falls below the coarse best
+        kb = np.where(up, kz[at, j], kb)
+        m, v = np.where(up, mz[at, j // _ZOOM.size], m), np.where(up, vz[at, j % _ZOOM.size], v)
+    mu[live], nu[live] = m, v
 
-            def k_of_mu(m):
-                return _k_grid(p, np.asarray(m), np.asarray(best_nu), qber_override)[()]
-
-            a = max(mu_lo, best_mu / step, best_nu * (1 + 1e-9))
-            b = min(mu_hi, best_mu * step)
-            if a < b:
-                m, km = _golden_max(k_of_mu, a, b)
-                if km >= best_k:
-                    best_mu, best_k = m, km
-
-            def k_of_nu(v):
-                return _k_grid(p, np.asarray(best_mu), np.asarray(v), qber_override)[()]
-
-            a = cfg.nu_min
-            b = best_mu * (1 - 1e-9)
-            if a < b:
-                v, kv = _golden_max(k_of_nu, a, b)
-                if kv >= best_k:
-                    best_nu, best_k = v, kv
-
-            if best_k - prev_k <= cfg.tolerance * max(prev_k, 1e-300):
-                break
-
-    return evaluate_key_rate(p, best_mu, best_nu, qber_override=qber_override)
+    results = _results(cols, mu, nu)
+    return results[0] if single else results
 
 
 def distance_sweep(
@@ -148,20 +151,14 @@ def distance_sweep(
         raise ValueError("length sequence must be non-empty")
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ValueError("lengths must be strictly increasing")
-    points = []
-    for length in lengths:
-        override = qber_overrides.get(length) if qber_overrides else None
-        res = optimize_mu_nu(p.at_length(length), cfg, qber_override=override)
-        points.append(
-            RatePoint(
-                length_m=length,
-                k_per_pulse=res.k_per_pulse,
-                mu_opt=res.mu,
-                nu_opt=res.nu,
-                flags=res.flags,
-            )
+    overrides = [qber_overrides.get(x) if qber_overrides else None for x in lengths]
+    results = optimize_mu_nu([p.at_length(x) for x in lengths], cfg, qber_override=overrides)
+    return RateCurve(
+        tuple(
+            RatePoint(length_m=x, k_per_pulse=r.k_per_pulse, mu_opt=r.mu, nu_opt=r.nu, flags=r.flags)
+            for x, r in zip(lengths, results)
         )
-    return RateCurve(tuple(points))
+    )
 
 
 def max_secure_distance(
@@ -172,21 +169,24 @@ def max_secure_distance(
 ) -> float:
     """Largest channel length with positive optimized key rate, to +/- tol_m.
 
-    Returns ``inf`` when no cutoff exists below ``l_max``.
+    Each probe needs only the sign of the optimized K, which is positive
+    exactly when the coarse grid's best K is (refinement never lowers it);
+    a probe with zero gain has no key.  Returns ``inf`` when no cutoff exists
+    below ``l_max``; raises ``DeadChannelError`` when there is no key at 0 m.
     """
-    cfg = cfg or OptimizerConfig()
+    axes = _axes(cfg or OptimizerConfig())
 
-    def k_at(length):
-        return optimize_mu_nu(p.at_length(length), cfg).k_per_pulse
+    def has_key(length):
+        return _coarse_best(_channel_columns([p.at_length(length)], [None]), *axes)[0][0] > 0
 
-    if k_at(0.0) <= 0:
-        raise ValueError("channel dead at zero length")
-    if k_at(l_max) > 0:
+    if not has_key(0.0):
+        raise DeadChannelError("channel dead at zero length")
+    if has_key(l_max):
         return math.inf
     lo, hi = 0.0, l_max
     while hi - lo > tol_m:
         mid = (lo + hi) / 2
-        if k_at(mid) > 0:
+        if has_key(mid):
             lo = mid
         else:
             hi = mid

@@ -110,6 +110,14 @@ class TestYields:
         with pytest.raises(ValueError):
             yield_n(0.1, 0, -1)
 
+    @pytest.mark.parametrize("eta,y0", [(math.nan, 0.0), (0.1, math.nan)])
+    def test_non_finite_rejected(self, eta, y0):
+        # a NaN probability must not be clamped to 0
+        with pytest.raises(ValueError, match="not finite"):
+            yield_n(eta, y0, 1)
+        with pytest.raises(ValueError, match="not finite"):
+            gain_model(0.5, eta, y0)
+
 
 class TestGainModel:
     def test_mu_zero(self):

@@ -42,6 +42,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             config_from_dict({"alpha_db_per_km": 0.5})
 
+    @pytest.mark.parametrize("rate", [-5.0, 0.0, float("nan"), float("inf")])
+    def test_modulation_rate_validated(self, rate):
+        with pytest.raises(ValueError, match="modulation_rate_hz"):
+            config_from_dict({"modulation_rate_hz": rate})
+
     def test_defaults_without_file(self):
         cfg = load_config(None)
         assert cfg.channel.alpha_db_per_m == 0.57
@@ -55,6 +60,8 @@ class TestConfig:
             ('{"f_ec": true}', "f_ec"),
             ('{"bob_includes_detector": 1}', "bob_includes_detector"),
             ('{"alpha_db_per_m": NaN}', "alpha_db_per_m"),
+            ('{"modulation_rate_hz": -5}', "modulation_rate_hz"),
+            ('{"modulation_rate_hz": NaN}', "modulation_rate_hz"),
         ],
     )
     def test_bad_value_exits_1(self, text, key, tmp_path, capsys):
@@ -226,3 +233,20 @@ class TestOptimizeCmd:
         payload = json.loads(capsys.readouterr().out)
         assert payload["k_per_pulse"] > 0
         assert payload["nu"] < payload["mu"]
+
+    def _cutoff(self, tmp_path, capsys, text, l_max):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        argv = ["optimize", "--config", str(path), "--length", "1", "--max-distance", "--l-max", l_max]
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)["max_secure_distance_m"]
+
+    def test_zero_gain_probe_gives_numeric_cutoff(self, tmp_path, capsys):
+        # the transmittance underflows to 0 before 6000 m: no key there, but
+        # the channel is live at 0 m, so the cutoff is a number, not null
+        d = self._cutoff(tmp_path, capsys, '{"dark_rate_hz": 0, "e_det": 0}', "6000")
+        assert isinstance(d, float) and 5000 < d < 6000
+
+    def test_dead_channel_gives_null(self, tmp_path, capsys):
+        text = '{"dark_rate_hz": 1e9, "detection_window_s": 1e-9}'
+        assert self._cutoff(tmp_path, capsys, text, "50") is None

@@ -11,7 +11,7 @@ import pytest
 from mpmath import mp, mpf
 
 from uwqkd.channel import ChannelParams, background_yield, transmittance
-from uwqkd.decoy import evaluate_key_rate, q1_lower_bound
+from uwqkd.decoy import _channel_columns, evaluate_key_rate, q1_lower_bound
 from uwqkd.optimize import _k_grid
 
 
@@ -84,7 +84,8 @@ class TestScalarAndGridAgree:
             )
             mus = rng.uniform(0.05, 1.0, 4)
             nus = 10 ** rng.uniform(-4, -0.5, 4)
-            grid = _k_grid(p, mus[:, None], nus[None, :])
+            cols = _channel_columns([p], [None])[:, 0, None, None]
+            grid = _k_grid(cols, mus[:, None], nus[None, :])
             for (i, j), k in np.ndenumerate(grid):
                 if nus[j] >= mus[i]:
                     assert k == -np.inf

@@ -1,11 +1,15 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwqkd.channel import ChannelParams
 from uwqkd.decoy import FLAG_NO_POSITIVE_KEY, evaluate_key_rate
 from uwqkd.optimize import (
+    DeadChannelError,
     OptimizerConfig,
     RateCurve,
     RatePoint,
@@ -15,6 +19,9 @@ from uwqkd.optimize import (
 )
 
 FAST = OptimizerConfig(coarse_grid=32, refine_iterations=2)
+# K and flags of the 0-90 m curves from the golden-section optimizer that the
+# zoom refinement replaced
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_section_sweeps.json").read_text())
 
 
 def brute_grid_max(p, resolution=1e-3, mu_max=1.0, nu_min=1e-4):
@@ -85,6 +92,53 @@ class TestOptimizeMuNu:
         p = flume_params.at_length(15.0)
         assert optimize_mu_nu(p) == optimize_mu_nu(p)
 
+    def test_coarse_only(self, dark_only_params):
+        # refine_iterations=0 returns a coarse-grid point
+        cfg = OptimizerConfig(refine_iterations=0)
+        res = optimize_mu_nu(dark_only_params.at_length(20.0), cfg)
+        mus = np.geomspace(2e-4, 1.0, cfg.coarse_grid)
+        assert res.mu in mus
+
+
+class TestBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 120.0),  # past ~80 m most channels have no key
+                st.floats(0.0, 0.04),
+                st.floats(30.0, 3000.0),
+                st.none() | st.floats(0.0, 0.1),
+            ),
+            min_size=1,
+            max_size=10,  # more than one coarse-grid chunk
+        )
+    )
+    def test_batch_equals_single_calls(self, specs):
+        ps = [ChannelParams(length_m=L, e_det=e, dark_rate_hz=d) for L, e, d, _ in specs]
+        overrides = [q for *_, q in specs]
+        batch = optimize_mu_nu(ps, qber_override=overrides)
+        assert batch == [optimize_mu_nu(p, qber_override=q) for p, q in zip(ps, overrides)]
+
+    def test_empty_batch(self):
+        assert optimize_mu_nu([]) == []
+
+    def test_sweep_is_one_batch(self, flume_params):
+        lengths = [0.0, 30.5, 95.0]
+        curve = distance_sweep(flume_params, lengths, qber_overrides={30.5: 0.01})
+        for pt, q in zip(curve.points, (None, 0.01, None)):
+            res = optimize_mu_nu(flume_params.at_length(pt.length_m), qber_override=q)
+            assert (pt.k_per_pulse, pt.mu_opt, pt.nu_opt, pt.flags) == (res.k_per_pulse, res.mu, res.nu, res.flags)
+
+    @pytest.mark.parametrize("name,params", [("default", {}), ("e_det_0", {"e_det": 0.0})])
+    def test_not_below_golden_section(self, name, params):
+        rows = GOLDEN[name]
+        curve = distance_sweep(ChannelParams(**params), [r[0] for r in rows])
+        for pt, (length, k, flags) in zip(curve.points, rows):
+            assert list(pt.flags) == flags, length
+            assert (pt.k_per_pulse > 0) == (k > 0), length
+            assert pt.k_per_pulse >= k * (1 - 1e-12), length
+
 
 class TestDistanceSweep:
     def test_flume_lengths_decreasing(self, dark_only_params):
@@ -124,11 +178,53 @@ class TestDistanceSweep:
             )
 
 
+def reference_cutoff(p, cfg, l_max=200.0, tol_m=0.1):
+    """The same bisection, each probe decided by the full optimization."""
+
+    def has_key(length):
+        return optimize_mu_nu(p.at_length(length), cfg).k_per_pulse > 0
+
+    if not has_key(0.0):
+        raise DeadChannelError("channel dead at zero length")
+    if has_key(l_max):
+        return math.inf
+    lo, hi = 0.0, l_max
+    while hi - lo > tol_m:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if has_key(mid) else (lo, mid)
+    return (lo + hi) / 2
+
+
 class TestMaxSecureDistance:
     def test_dead_channel_rejected(self):
         p = ChannelParams(dark_rate_hz=1e9, detection_window_s=1e-9, e_det=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DeadChannelError):
             max_secure_distance(p, FAST, l_max=50.0)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {},
+            {"e_det": 0.0},
+            {"e_det": 0.0, "bob_includes_detector": True},
+            {"alpha_db_per_m": 0.3, "dark_rate_hz": 30.0},
+            {"alpha_db_per_m": 1.2, "e_det": 0.03},
+            {"dark_rate_hz": 3000.0, "f_ec": 1.5},
+            {"e_det": 0.045, "dark_rate_hz": 3000.0},
+            {"dark_rate_hz": 0.0, "e_det": 0.0},
+        ],
+    )
+    def test_matches_full_optimization_bisection(self, params):
+        p = ChannelParams(**params)
+        assert max_secure_distance(p, FAST) == reference_cutoff(p, FAST)
+
+    def test_zero_gain_probe_is_no_key(self):
+        # the transmittance underflows to 0 before 6000 m; zero gain there
+        # means no key, not a channel dead at 0 m
+        p = ChannelParams(dark_rate_hz=0.0, e_det=0.0)
+        d = max_secure_distance(p, l_max=6000.0)
+        assert 5000 < d < 6000
+        assert optimize_mu_nu(p.at_length(d - 1.0)).k_per_pulse > 0
 
     def test_noiseless_unbounded(self):
         p = ChannelParams(dark_rate_hz=0, e_det=0.0)
