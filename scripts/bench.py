@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark the working tree against a base revision and write BENCH_<label>.json.
 
-For each workload and seed, runs
+For each of the four workloads and each of the seeds 101-110, runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -11,7 +11,8 @@ pair, and the side that runs first alternates from seed to seed.  One
 ``--trace 1`` run per workload and side records the per-module metrics.  The
 JSON result line of every run is kept, with each end-to-end metric's median and
 quartiles per side, the change/base ratio of the medians, and the number of
-pairs the change won.
+pairs the change won.  ``T`` is BENCHMARK.json's ``run_seconds``, so every
+BENCH file compares runs of the benchmark's own length.
 
     python3 scripts/bench.py --label mychange --base HEAD~1 --workdir /tmp/bench
 
@@ -32,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("rate_sweep", "channel_queries", "mc_session", "tomography_maps")
+SEEDS = tuple(range(101, 111))
 
 
 def export(rev: str, dest: Path) -> str:
@@ -70,14 +72,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", required=True, help="names the output file, BENCH_<label>.json")
     ap.add_argument("--base", required=True, help="git revision to compare the working tree with")
-    ap.add_argument("--seeds", type=int, nargs="+", default=list(range(101, 111)))
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--seconds", type=float, help="seconds per run (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--workdir", help="where to export the base revision (default: a temporary directory)")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     sign = {m["name"]: 1 if m["better"] == "higher" else -1 for m in spec["end_to_end"]}
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="uwqkd-bench-"))
     base_sha = export(args.base, workdir / "base")
@@ -90,19 +89,19 @@ def main(argv=None) -> int:
         "base": base_sha,
         "change": f"working tree on {head}",
         "seconds": seconds,
-        "seeds": args.seeds,
+        "seeds": list(SEEDS),
         "host": {"machine": platform.machine(), "python": platform.python_version(),
                  "cpus": len(os.sched_getaffinity(0))},
         "workloads": {},
     }
-    for w in args.workloads:
+    for w in WORKLOADS:
         runs = {side: [] for side in sides}
-        for seed in args.seeds:
+        for seed in SEEDS:
             order = list(sides) if seed % 2 else list(sides)[::-1]
             for side in order:
                 runs[side].append(run(side, sides[side], w, seed, seconds, trace=0))
         q = {side: quartiles(rs) for side, rs in runs.items()}
-        traced = {side: run(side, path, w, args.seeds[0], seconds, trace=1)["metrics"]
+        traced = {side: run(side, path, w, SEEDS[0], seconds, trace=1)["metrics"]
                   for side, path in sides.items()}
         out["workloads"][w] = {
             "quartiles": q,

@@ -15,6 +15,13 @@ import numpy as np
 _CLAMP_SLACK = 1e-12
 
 
+class ZeroGainError(ValueError):
+    """No clicks at all (no background and no signal), so the QBER is undefined."""
+
+    def __init__(self):
+        super().__init__("undefined QBER: zero gain (no background and no signal)")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Physical parameters of the channel and detection system.
@@ -126,7 +133,7 @@ def qber_model(mu: float, eta: float, y0: float, e_det: float, e0: float = 0.5) 
         raise ValueError("mean photon number must be >= 0")
     q, e, _, _ = _gain_qber(mu, eta, y0, e_det, e0)
     if q == 0.0:
-        raise ValueError("undefined QBER: zero gain (no background and no signal)")
+        raise ZeroGainError()
     return float(e)
 
 
@@ -137,7 +144,7 @@ def gain_stats(p: ChannelParams, mu: float, nu: float) -> GainStats:
     y0 = background_yield(p)
     q, e, _, _ = _gain_qber(np.array([mu, nu]), transmittance(p), y0, p.e_det, p.e0)
     if q[1] == 0.0:
-        raise ValueError("undefined QBER: zero gain (no background and no signal)")
+        raise ZeroGainError()
     return GainStats(q_mu=float(q[0]), e_mu=float(e[0]), q_nu=float(q[1]), e_nu=float(e[1]), y0=y0)
 
 

@@ -13,12 +13,13 @@ optimization sweeps can traverse vacuous parameter regions.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import channel
-from .channel import ChannelParams, GainStats, _gain_qber
+from .channel import ChannelParams, GainStats, ZeroGainError, _gain_qber
 
 FLAG_VACUOUS = "vacuous"
 FLAG_NO_POSITIVE_KEY = "no_positive_key"
@@ -190,11 +191,16 @@ def _key_rate_arrays(eta, y0, e_det, f_ec, qber, mu, nu):
     return k, components, vacuous
 
 
-def _channel_columns(ps, qber_overrides) -> np.ndarray:
+def _channel_columns(ps, qber_overrides=None) -> np.ndarray:
     """Kernel inputs, one column per channel: rows eta, Y0, e_det, f_ec, QBER override.
 
-    Computed once per channel; a None override becomes NaN (modeled QBER).
+    Computed once per channel.  ``qber_overrides`` is None or one entry per
+    channel; a None entry becomes NaN (modeled QBER).
     """
+    if qber_overrides is None:
+        qber_overrides = [None] * len(ps)
+    elif np.ndim(qber_overrides) != 1:
+        raise ValueError(f"a batch of channels needs one QBER override per channel, got {qber_overrides!r}")
     for q in qber_overrides:
         if q is not None:
             _check_error_rate(q)
@@ -206,26 +212,28 @@ def _channel_columns(ps, qber_overrides) -> np.ndarray:
     return np.array(rows).T
 
 
-def _results(cols: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> list[KeyRateResult]:
-    """Evaluate each channel column at its own (mu, nu); one result each.
-
-    0-d inputs (one channel) give one result, 1-d inputs one per channel.
-    """
-    k, components, vacuous = _key_rate_arrays(*cols, mu, nu)
-    if np.any(components["q_nu"] == 0.0):
-        raise ValueError("undefined QBER: zero gain (no background and no signal)")
-    return [
-        _result(k[i], float(mu[i]), float(nu[i]), {n: v[i] for n, v in components.items()}, vacuous[i])
-        for i in np.ndindex(k.shape)
-    ]
-
-
 def evaluate_key_rate(
-    p: ChannelParams,
-    mu: float,
-    nu: float,
-    qber_override: float | None = None,
-) -> KeyRateResult:
-    """Full pipeline: channel model -> decoy bounds -> key rate."""
-    _check_ordering(mu, nu)
-    return _results(_channel_columns([p], [qber_override])[:, 0], np.float64(mu), np.float64(nu))[0]
+    p: ChannelParams | Sequence[ChannelParams],
+    mu: float | Sequence[float],
+    nu: float | Sequence[float],
+    qber_override: float | None | Sequence[float | None] = None,
+) -> KeyRateResult | list[KeyRateResult]:
+    """Full pipeline: channel model -> decoy bounds -> key rate.
+
+    A sequence of channels takes one mu and one nu per channel (and, if
+    given, one QBER override each, None keeping the modeled QBER) and gives
+    a list of results.
+    """
+    single = isinstance(p, ChannelParams)
+    ps, mu, nu, qber = ([p], [mu], [nu], [qber_override]) if single else (p, mu, nu, qber_override)
+    for _, m, n in zip(ps, mu, nu, strict=True):
+        _check_ordering(m, n)
+    mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
+    k, components, vacuous = _key_rate_arrays(*_channel_columns(ps, qber), mu, nu)
+    if np.any(components["q_nu"] == 0.0):
+        raise ZeroGainError()
+    results = [
+        _result(k[i], float(mu[i]), float(nu[i]), {n: v[i] for n, v in components.items()}, vacuous[i])
+        for i in range(len(k))
+    ]
+    return results[0] if single else results

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams
-from .decoy import KeyRateResult, _channel_columns, _key_rate_arrays, _results
+from .channel import ChannelParams, ZeroGainError
+from .decoy import KeyRateResult, _channel_columns, _key_rate_arrays, evaluate_key_rate
 
 _CHUNK_POINTS = 2 * 64 * 64  # coarse-grid points per kernel call, bounding its temporaries
 _ZOOM = np.linspace(-1.0, 1.0, 9)  # zoom offsets in box half-widths; 0 is the current best
@@ -29,11 +29,11 @@ class DeadChannelError(ValueError):
 class OptimizerConfig:
     """Search space and effort of ``optimize_mu_nu``.
 
-    Each of the ``refine_iterations`` passes after the coarse grid is four
+    Each of the ``refine_iterations`` passes after the coarse grid is three
     zoom rounds: a 9 x 9 grid in (log mu, log nu) around the best point, whose
     half-width starts at one coarse step and shrinks by 4x per round (0 keeps
-    the coarse optimum).  Refinement stops early once that half-width, a
-    relative step in mu and nu, is below ``tolerance``.
+    the coarse optimum).  ``tolerance`` no longer affects the search; it is
+    still validated so that existing configs load.
     """
 
     mu_range: tuple[float, float] = (0.0, 1.0)
@@ -107,35 +107,32 @@ def optimize_mu_nu(
     """Maximize the decoy key rate over nu_min <= nu < mu <= mu_max.
 
     A sequence of channels is optimized as one batch and gives a list of
-    results; ``qber_override`` is then a sequence too (None entries keep the
-    modeled QBER).
+    results; ``qber_override`` is then None or a sequence too (None entries
+    keep the modeled QBER).
     """
     cfg = cfg or OptimizerConfig()
     single = isinstance(p, ChannelParams)
-    ps = [p] if single else list(p)
+    ps, qber = ([p], [qber_override]) if single else (list(p), qber_override)
     if not ps:
         return []
-    cols = _channel_columns(ps, [qber_override] if single else qber_override or [None] * len(ps))
+    cols = _channel_columns(ps, qber)
     mus, nus = _axes(cfg)
     best_k, mu, nu = _coarse_best(cols, mus, nus)
 
     live = np.flatnonzero(best_k > 0)
     c, m, v, kb = cols[:, live, None, None], mu[live], nu[live], best_k[live]
     steps, at = np.log([mus[1] / mus[0], nus[1] / nus[0]]), np.arange(live.size)
-    for r in range(4 * cfg.refine_iterations):
-        half = steps / 4.0**r
-        if half.max() < cfg.tolerance or not live.size:
-            break
+    for half in steps / 4.0 ** np.arange(3 * cfg.refine_iterations)[:, None]:
         mz = np.clip(m[:, None] * np.exp(half[0] * _ZOOM), mus[0], mus[-1])
         vz = np.clip(v[:, None] * np.exp(half[1] * _ZOOM), nus[0], nus[-1])
-        kz = _k_grid(c, mz[:, :, None], vz[:, None, :]).reshape(live.size, -1)
+        kz = _k_grid(c, mz[:, :, None], vz[:, None, :]).reshape(live.size, _ZOOM.size**2)
         j = np.argmax(kz, axis=1)
         up = kz[at, j] >= kb  # so K never falls below the coarse best
         kb = np.where(up, kz[at, j], kb)
         m, v = np.where(up, mz[at, j // _ZOOM.size], m), np.where(up, vz[at, j % _ZOOM.size], v)
     mu[live], nu[live] = m, v
 
-    results = _results(cols, mu, nu)
+    results = evaluate_key_rate(ps, mu, nu, qber)
     return results[0] if single else results
 
 
@@ -169,15 +166,19 @@ def max_secure_distance(
 ) -> float:
     """Largest channel length with positive optimized key rate, to +/- tol_m.
 
-    Each probe needs only the sign of the optimized K, which is positive
-    exactly when the coarse grid's best K is (refinement never lowers it);
-    a probe with zero gain has no key.  Returns ``inf`` when no cutoff exists
-    below ``l_max``; raises ``DeadChannelError`` when there is no key at 0 m.
+    A probe needs only the sign of the optimized K, which is the sign of the
+    coarse grid's best K (refinement never lowers it), so probes skip
+    refinement; a probe with zero gain has no key.  Returns ``inf`` when no
+    cutoff exists below ``l_max``; raises ``DeadChannelError`` when there is
+    no key at 0 m.
     """
-    axes = _axes(cfg or OptimizerConfig())
+    coarse = replace(cfg or OptimizerConfig(), refine_iterations=0)
 
     def has_key(length):
-        return _coarse_best(_channel_columns([p.at_length(length)], [None]), *axes)[0][0] > 0
+        try:
+            return optimize_mu_nu(p.at_length(length), coarse).k_per_pulse > 0
+        except ZeroGainError:
+            return False
 
     if not has_key(0.0):
         raise DeadChannelError("channel dead at zero length")
@@ -186,8 +187,5 @@ def max_secure_distance(
     lo, hi = 0.0, l_max
     while hi - lo > tol_m:
         mid = (lo + hi) / 2
-        if has_key(mid):
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if has_key(mid) else (lo, mid)
     return (lo + hi) / 2

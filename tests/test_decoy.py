@@ -234,6 +234,19 @@ class TestKeyRate:
         overridden = evaluate_key_rate(p, 0.5, 0.1, qber_override=0.02)
         assert overridden.k_per_pulse < base.k_per_pulse
 
+    def test_batch_equals_single_calls(self, flume_params):
+        ps = [flume_params.at_length(x) for x in (0.0, 20.0, 95.0)]
+        mus, nus, qs = [0.5, 0.4, 0.3], [0.1, 0.05, 0.01], [None, 0.02, None]
+        batch = evaluate_key_rate(ps, mus, nus, qber_override=qs)
+        assert batch == [evaluate_key_rate(*args) for args in zip(ps, mus, nus, qs)]
+        assert evaluate_key_rate(ps, mus, nus) == [evaluate_key_rate(*args) for args in zip(ps, mus, nus)]
+
+    def test_batch_checks_each_point(self, flume_params):
+        with pytest.raises(ValueError, match="ordering"):
+            evaluate_key_rate([flume_params, flume_params], [0.5, 0.1], [0.1, 0.2])
+        with pytest.raises(ValueError):
+            evaluate_key_rate([flume_params, flume_params], [0.5], [0.1])
+
     def test_bits_per_second(self, dark_only_params):
         res = evaluate_key_rate(dark_only_params.at_length(10.5), 0.5, 0.1)
         payload = _result_payload(res, modulation_rate_hz=1e8)

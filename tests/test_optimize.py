@@ -92,6 +92,10 @@ class TestOptimizeMuNu:
         p = flume_params.at_length(15.0)
         assert optimize_mu_nu(p) == optimize_mu_nu(p)
 
+    def test_tolerance_does_not_change_search(self, dark_only_params):
+        p = dark_only_params.at_length(20.0)
+        assert optimize_mu_nu(p, OptimizerConfig(tolerance=0.1)) == optimize_mu_nu(p)
+
     def test_coarse_only(self, dark_only_params):
         # refine_iterations=0 returns a coarse-grid point
         cfg = OptimizerConfig(refine_iterations=0)
@@ -119,6 +123,13 @@ class TestBatch:
         overrides = [q for *_, q in specs]
         batch = optimize_mu_nu(ps, qber_override=overrides)
         assert batch == [optimize_mu_nu(p, qber_override=q) for p, q in zip(ps, overrides)]
+
+    @pytest.mark.parametrize("q", [0.0, 0.02])
+    def test_scalar_override_rejected(self, q):
+        # a batch takes one override per channel, never one for all
+        ps = [ChannelParams(), ChannelParams(length_m=10.0)]
+        with pytest.raises(ValueError, match="one QBER override per channel"):
+            optimize_mu_nu(ps, qber_override=q)
 
     def test_empty_batch(self):
         assert optimize_mu_nu([]) == []
