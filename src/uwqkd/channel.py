@@ -129,6 +129,8 @@ def gain_model(mu: float, eta: float, y0: float) -> float:
 
 def qber_model(mu: float, eta: float, y0: float, e_det: float, e0: float = 0.5) -> float:
     """Modeled QBER: misaligned signal clicks plus unpolarized dark counts."""
+    if not all(map(math.isfinite, (mu, eta, y0, e_det, e0))):
+        raise ValueError(f"non-finite input: mu={mu}, eta={eta}, y0={y0}, e_det={e_det}, e0={e0}")
     if mu < 0:
         raise ValueError("mean photon number must be >= 0")
     q, e, _, _ = _gain_qber(mu, eta, y0, e_det, e0)

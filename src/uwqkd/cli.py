@@ -3,7 +3,7 @@
 Subcommands: keyrate, sweep, sifted, montecarlo, tomography, optimize.
 All output is deterministic given the full argument list (seeds included);
 floats are emitted with shortest round-trip representation in JSON and 9
-significant digits in sweep CSVs.
+significant digits in the sweep and Stokes CSVs.
 
 Exit statuses: 0 success, 1 usage/validation error, 2 runtime failure.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ from .qstate import PolLabel
 from .tomography import (
     AberrationSpec,
     GridSpec,
-    StokesField,
     apply_aberration,
     make_vector_mode,
     project_all,
@@ -61,6 +61,7 @@ def _result_payload(res: decoy.KeyRateResult, modulation_rate_hz: float) -> dict
 
 
 def _cmd_keyrate(args) -> int:
+    """Both ``keyrate`` and ``optimize``: fixed (mu, nu) or optimized, optionally the cutoff."""
     cfg = load_config(args.config)
     p = cfg.channel if args.length is None else cfg.channel.at_length(args.length)
     if (args.mu is None) != (args.nu is None):
@@ -69,14 +70,6 @@ def _cmd_keyrate(args) -> int:
         res = decoy.evaluate_key_rate(p, args.mu, args.nu, qber_override=args.qber)
     else:
         res = optimize_mu_nu(p, cfg.optimizer, qber_override=args.qber)
-    _emit(json.dumps(_result_payload(res, cfg.modulation_rate_hz), indent=2) + "\n", args.out)
-    return 0
-
-
-def _cmd_optimize(args) -> int:
-    cfg = load_config(args.config)
-    p = cfg.channel if args.length is None else cfg.channel.at_length(args.length)
-    res = optimize_mu_nu(p, cfg.optimizer, qber_override=args.qber)
     payload = _result_payload(res, cfg.modulation_rate_hz)
     if args.max_distance:
         try:
@@ -112,17 +105,7 @@ def _cmd_sweep(args) -> int:
         lengths = [args.l_min]
     curve = distance_sweep(cfg.channel, lengths, cfg.optimizer)
     if args.format == "json":
-        payload = [
-            {
-                "length_m": pt.length_m,
-                "k_per_pulse": pt.k_per_pulse,
-                "mu_opt": pt.mu_opt,
-                "nu_opt": pt.nu_opt,
-                "flags": list(pt.flags),
-            }
-            for pt in curve.points
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json.dumps([asdict(pt) for pt in curve.points], indent=2) + "\n", args.out)
     else:
         _emit(_curve_csv(curve), args.out)
     return 0
@@ -145,29 +128,14 @@ def _cmd_montecarlo(args) -> int:
     return 0
 
 
-def _stokes_rows(field: StokesField, grid: GridSpec):
-    x, y = grid.axes()
-    for i in range(grid.n):
-        for j in range(grid.n):
-            yield (
-                x[i, j],
-                y[i, j],
-                field.intensity[i, j],
-                field.s1[i, j],
-                field.s2[i, j],
-                field.s3[i, j],
-                int(field.valid[i, j]),
-            )
-
-
 def write_pgm(path: str | Path, arr: np.ndarray) -> None:
     """Plain 16-bit PGM, intensity scaled to the array peak."""
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        raise ValueError("PGM intensities must be finite and >= 0")
     peak = float(arr.max())
     scaled = np.zeros_like(arr, dtype=int) if peak == 0 else np.round(arr / peak * 65535).astype(int)
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{arr.shape[1]} {arr.shape[0]}\n65535\n")
-        for row in scaled:
-            fh.write(" ".join(str(v) for v in row) + "\n")
+    h, w = arr.shape
+    np.savetxt(path, scaled, fmt="%d", header=f"P2\n{w} {h}\n65535", comments="")
 
 
 def _cmd_tomography(args) -> int:
@@ -175,13 +143,8 @@ def _cmd_tomography(args) -> int:
     if args.random_aberration:
         spec = AberrationSpec.random(args.seed, args.length or 0.0, args.rms_per_m)
     else:
-        spec = AberrationSpec(
-            tip=args.tip,
-            tilt=args.tilt,
-            astig_oblique=args.astig_oblique,
-            astig_vertical=args.astig_vertical,
-            defocus=args.defocus,
-        )
+        spec = AberrationSpec(tip=args.tip, tilt=args.tilt, astig_oblique=args.astig_oblique,
+                              astig_vertical=args.astig_vertical, defocus=args.defocus)
     field = apply_aberration(make_vector_mode(args.kind, grid), spec)
     intensities = project_all(field)
     stokes = reconstruct_stokes(intensities)
@@ -203,10 +166,10 @@ def _cmd_tomography(args) -> int:
         }
         Path(f"{prefix}_stokes.json").write_text(json.dumps(payload) + "\n")
     else:
-        lines = ["x,y,intensity,s1,s2,s3,valid"]
-        for row in _stokes_rows(stokes, grid):
-            lines.append(",".join(f"{v:.9g}" if not isinstance(v, int) else str(v) for v in row))
-        Path(f"{prefix}_stokes.csv").write_text("\n".join(lines) + "\n")
+        cols = (*grid.axes(), stokes.intensity, stokes.s1, stokes.s2, stokes.s3, stokes.valid)
+        np.savetxt(f"{prefix}_stokes.csv", np.column_stack([c.ravel() for c in cols]),
+                   fmt=["%.9g"] * 6 + ["%d"], delimiter=",", header="x,y,intensity,s1,s2,s3,valid",
+                   comments="")
     return 0
 
 
@@ -224,7 +187,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--nu", type=float)
     sp.add_argument("--length", type=float, help="channel length in m (overrides config)")
     sp.add_argument("--qber", type=float, help="measured QBER replacing the modeled E_mu")
-    sp.set_defaults(func=_cmd_keyrate)
+    sp.set_defaults(func=_cmd_keyrate, max_distance=False)
 
     sp = sub.add_parser("optimize", help="optimal (mu, nu) and key rate for one channel")
     add_common(sp)
@@ -232,7 +195,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--qber", type=float)
     sp.add_argument("--max-distance", action="store_true", help="also bisect the secure cutoff")
     sp.add_argument("--l-max", type=float, default=200.0)
-    sp.set_defaults(func=_cmd_optimize)
+    sp.set_defaults(func=_cmd_keyrate, mu=None, nu=None)
 
     sp = sub.add_parser("sweep", help="optimized rate-distance curve")
     add_common(sp)

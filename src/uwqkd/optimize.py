@@ -172,6 +172,8 @@ def max_secure_distance(
     cutoff exists below ``l_max``; raises ``DeadChannelError`` when there is
     no key at 0 m.
     """
+    if not 0 <= tol_m < math.inf:
+        raise ValueError(f"tol_m must be finite and >= 0, got {tol_m}")
     coarse = replace(cfg or OptimizerConfig(), refine_iterations=0)
 
     def has_key(length):
@@ -185,7 +187,7 @@ def max_secure_distance(
     if has_key(l_max):
         return math.inf
     lo, hi = 0.0, l_max
-    while hi - lo > tol_m:
-        mid = (lo + hi) / 2
+    # stops at tol_m, or once no float is left strictly between lo and hi
+    while hi - lo > tol_m and lo < (mid := (lo + hi) / 2) < hi:
         lo, hi = (mid, hi) if has_key(mid) else (lo, mid)
     return (lo + hi) / 2

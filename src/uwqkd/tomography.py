@@ -104,12 +104,14 @@ class AberrationSpec:
         return (self.tip, self.tilt, self.astig_oblique, self.astig_vertical, self.defocus)
 
 
-def _lg_envelope(grid: GridSpec, ell: int) -> np.ndarray:
-    """Laguerre-Gauss p = 0 amplitude with azimuthal index ell (unnormalized)."""
+def _polar(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel polar coordinates (r, phi) of the grid."""
     x, y = grid.axes()
-    r = np.hypot(x, y)
-    phi = np.arctan2(y, x)
-    w = grid.waist
+    return np.hypot(x, y), np.arctan2(y, x)
+
+
+def _lg_envelope(r: np.ndarray, phi: np.ndarray, w: float, ell: int) -> np.ndarray:
+    """Laguerre-Gauss p = 0 amplitude with azimuthal index ell (unnormalized)."""
     return (r * math.sqrt(2) / w) ** abs(ell) * np.exp(-(r**2) / w**2) * np.exp(1j * ell * phi)
 
 
@@ -132,14 +134,8 @@ def make_vector_mode(kind: str, grid: GridSpec | None = None) -> VectorField:
     """Sample a vector vortex mode (c_L |L,-1> + c_R |R,+1>)/sqrt(2) on the grid."""
     if kind not in _MODE_COEFFS:
         raise ValueError(f"unknown mode kind {kind!r}; expected one of {MODE_KINDS}")
-    grid = grid or GridSpec()
     c_l, c_r = _MODE_COEFFS[kind]
-    lg_m = _lg_envelope(grid, -1)
-    lg_p = _lg_envelope(grid, +1)
-    eh = c_l * lg_m * _JONES_L[0] + c_r * lg_p * _JONES_R[0]
-    ev = c_l * lg_m * _JONES_L[1] + c_r * lg_p * _JONES_R[1]
-    eh, ev = _normalize(eh, ev)
-    return VectorField(eh, ev, grid)
+    return make_spin_orbit_field({("L", -1): c_l, ("R", +1): c_r}, grid)
 
 
 def make_spin_orbit_field(
@@ -147,11 +143,14 @@ def make_spin_orbit_field(
 ) -> VectorField:
     """Sample an arbitrary finite (circular polarization, OAM) superposition."""
     grid = grid or GridSpec()
+    r, phi = _polar(grid)
     eh = np.zeros((grid.n, grid.n), dtype=complex)
     ev = np.zeros((grid.n, grid.n), dtype=complex)
     for (pol, ell), a in amplitudes.items():
+        if pol not in ("L", "R"):
+            raise ValueError(f"polarization label must be 'L' or 'R', got {pol!r}")
         jones = _JONES_L if pol == "L" else _JONES_R
-        env = _lg_envelope(grid, ell)
+        env = _lg_envelope(r, phi, grid.waist, ell)
         eh += a * env * jones[0]
         ev += a * env * jones[1]
     eh, ev = _normalize(eh, ev)
@@ -160,10 +159,8 @@ def make_spin_orbit_field(
 
 def zernike_phase(grid: GridSpec, spec: AberrationSpec) -> np.ndarray:
     """Phase screen sum_j c_j Z_j(rho, theta), rho normalized to the half-extent."""
-    x, y = grid.axes()
-    half = grid.extent_waists * grid.waist / 2
-    rho = np.hypot(x, y) / half
-    theta = np.arctan2(y, x)
+    r, theta = _polar(grid)
+    rho = r / (grid.extent_waists * grid.waist / 2)
     tip, tilt, a_obl, a_ver, defoc = spec.coefficients()
     return (
         tip * 2 * rho * np.cos(theta)

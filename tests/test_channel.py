@@ -161,6 +161,13 @@ class TestQberModel:
         with pytest.raises(ValueError):
             qber_model(0.0, 0.1, 0.0, 0.01)
 
+    @pytest.mark.parametrize(
+        "args", [(0.5, math.nan, 0.0, 0.01), (math.inf, 0.1, 0.0, 0.01), (0.5, 0.1, math.nan, 0.01)]
+    )
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ValueError, match="non-finite"):
+            qber_model(*args)
+
     @settings(max_examples=100, deadline=None)
     @given(
         mu=st.floats(1e-3, 2),

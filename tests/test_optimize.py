@@ -237,6 +237,34 @@ class TestMaxSecureDistance:
         assert 5000 < d < 6000
         assert optimize_mu_nu(p.at_length(d - 1.0)).k_per_pulse > 0
 
+    @pytest.fixture
+    def probe_budget(self, monkeypatch):
+        # a bisection that never stops fails here instead of hanging the suite
+        import uwqkd.optimize as opt
+
+        calls, inner = [0], opt.optimize_mu_nu
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] > 200:
+                raise RuntimeError("bisection did not stop")
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(opt, "optimize_mu_nu", counted)
+        return calls
+
+    def test_zero_tolerance_terminates(self, probe_budget):
+        # bisection to tol_m = 0 stops once no float lies between lo and hi
+        d = max_secure_distance(ChannelParams(), FAST, tol_m=0.0)
+        assert probe_budget[0] < 100
+        assert abs(d - max_secure_distance(ChannelParams(), FAST)) <= 0.1
+        assert optimize_mu_nu(ChannelParams().at_length(math.nextafter(d, 0)), FAST).k_per_pulse > 0
+
+    @pytest.mark.parametrize("tol_m", [-0.1, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, tol_m, probe_budget):
+        with pytest.raises(ValueError, match="tol_m"):
+            max_secure_distance(ChannelParams(), FAST, tol_m=tol_m)
+
     def test_noiseless_unbounded(self):
         p = ChannelParams(dark_rate_hz=0, e_det=0.0)
         assert max_secure_distance(p, FAST, l_max=150.0) == math.inf

@@ -1,0 +1,135 @@
+"""Byte-level pins of the CLI's output files.
+
+``tests/data/cli_output_sha256.json`` holds the SHA-256 of every file that
+``COMMANDS`` writes, recorded with the per-pixel writers that ``cli.py`` used
+before it wrote its tables with ``np.savetxt``.  The oracle tests keep those
+per-pixel loops here and compare them with the current writers directly.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from uwqkd.cli import main, write_pgm
+from uwqkd.tomography import GridSpec, make_vector_mode, project_all, reconstruct_stokes
+
+HASHES = Path(__file__).parent / "data" / "cli_output_sha256.json"
+
+# name -> (argv, output file suffixes); each command runs with
+# --out <workdir>/<name>, and "{cfg}" stands for a file holding CONFIG_TEXT
+CONFIG_TEXT = '{"dark_rate_hz": 0, "e_det": 0}'
+_PGMS = [f"_I{lab}.pgm" for lab in "HVDALR"]
+
+
+def _commands() -> dict[str, tuple[list[str], list[str]]]:
+    cmds = {
+        "sweep_csv": (["sweep", "--l-min", "0", "--l-max", "90", "--step", "1"], [""]),
+        "sweep_json": (["sweep", "--l-min", "0", "--l-max", "90", "--step", "1", "--format", "json"], [""]),
+        "keyrate_opt": (["keyrate", "--length", "30"], [""]),
+        "keyrate_fixed": (["keyrate", "--length", "30", "--mu", "0.5", "--nu", "0.05"], [""]),
+        "keyrate_qber": (["keyrate", "--length", "12", "--qber", "0.02"], [""]),
+        "optimize": (["optimize", "--length", "10"], [""]),
+        "optimize_cutoff": (["optimize", "--length", "10", "--max-distance"], [""]),
+        "optimize_no_cutoff": (["optimize", "--max-distance", "--l-max", "50"], [""]),
+        "optimize_cutoff_cfg": (
+            ["optimize", "--config", "{cfg}", "--length", "1", "--max-distance", "--l-max", "6000"],
+            [""],
+        ),
+        "montecarlo": (["montecarlo", "--mu", "0.5", "--n-pulses", "100000", "--seed", "3",
+                        "--length", "20"], [""]),
+    }
+    for kind in ("radial", "azimuthal", "vortex_cw", "vortex_ccw"):
+        for n in (33, 64, 101):
+            for aberr, extra in (("flat", []), ("aberr", ["--random-aberration", "--seed", "11",
+                                                          "--length", "30"])):
+                for fmt in ("csv", "json"):
+                    argv = ["tomography", "--kind", kind, "--n", str(n), "--format", fmt] + extra
+                    cmds[f"tomo_{kind}_{n}_{aberr}_{fmt}"] = (argv, _PGMS + [f"_stokes.{fmt}"])
+    return cmds
+
+
+COMMANDS = _commands()
+
+
+def output_hashes(workdir: Path) -> dict[str, str]:
+    """Run every command of ``COMMANDS`` in ``workdir``; SHA-256 per output file."""
+    cfg = workdir / "config.json"
+    cfg.write_text(CONFIG_TEXT)
+    out = {}
+    for name, (argv, suffixes) in COMMANDS.items():
+        prefix = workdir / name
+        argv = [str(cfg) if a == "{cfg}" else a for a in argv] + ["--out", str(prefix)]
+        assert main(argv) == 0, name
+        for suffix in suffixes:
+            path = Path(f"{prefix}{suffix}")
+            out[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def test_output_bytes_match_pinned_hashes(tmp_path):
+    expected = json.loads(HASHES.read_text())
+    got = output_hashes(tmp_path)
+    assert sorted(got) == sorted(expected)
+    assert {k for k in got if got[k] != expected[k]} == set()
+
+
+# -- oracles: the per-pixel writers the array writers replaced ---------------
+
+
+def _csv_oracle(stokes, grid: GridSpec) -> str:
+    x, y = grid.axes()
+    lines = ["x,y,intensity,s1,s2,s3,valid"]
+    for i in range(grid.n):
+        for j in range(grid.n):
+            row = (x[i, j], y[i, j], stokes.intensity[i, j], stokes.s1[i, j], stokes.s2[i, j],
+                   stokes.s3[i, j], int(stokes.valid[i, j]))
+            lines.append(",".join(f"{v:.9g}" if not isinstance(v, int) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _pgm_oracle(arr: np.ndarray) -> str:
+    peak = float(arr.max())
+    scaled = np.zeros_like(arr, dtype=int) if peak == 0 else np.round(arr / peak * 65535).astype(int)
+    text = f"P2\n{arr.shape[1]} {arr.shape[0]}\n65535\n"
+    for row in scaled:
+        text += " ".join(str(v) for v in row) + "\n"
+    return text
+
+
+@pytest.mark.parametrize("n", [48, 67])
+@pytest.mark.parametrize("kind", ["radial", "vortex_cw"])
+def test_stokes_csv_matches_per_pixel_oracle(n, kind, tmp_path):
+    grid = GridSpec(n=n)
+    assert main(["tomography", "--kind", kind, "--n", str(n), "--out", str(tmp_path / "t")]) == 0
+    stokes = reconstruct_stokes(project_all(make_vector_mode(kind, grid)))
+    assert (tmp_path / "t_stokes.csv").read_text() == _csv_oracle(stokes, grid)
+
+
+@pytest.mark.parametrize("n", [48, 67])
+def test_pgm_matches_per_pixel_oracle(n, tmp_path):
+    for lab, arr in project_all(make_vector_mode("azimuthal", GridSpec(n=n))).items():
+        write_pgm(tmp_path / "i.pgm", arr)
+        assert (tmp_path / "i.pgm").read_text() == _pgm_oracle(arr), lab
+    rect = np.random.default_rng(n).random((n, n + 5))
+    write_pgm(tmp_path / "r.pgm", rect)
+    assert (tmp_path / "r.pgm").read_text() == _pgm_oracle(rect)
+
+
+def test_all_zero_pgm_matches_oracle(tmp_path):
+    arr = np.zeros((48, 67))
+    write_pgm(tmp_path / "z.pgm", arr)
+    assert (tmp_path / "z.pgm").read_text() == _pgm_oracle(arr)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_pgm_rejects_invalid_intensity(bad, tmp_path):
+    arr = np.ones((4, 4))
+    arr[1, 2] = bad
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        write_pgm(tmp_path / "bad.pgm", arr)
+    assert not (tmp_path / "bad.pgm").exists()

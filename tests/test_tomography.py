@@ -45,6 +45,10 @@ class TestModes:
         with pytest.raises(ValueError):
             make_vector_mode("spiral", GRID)
 
+    def test_unknown_polarization_label(self):
+        with pytest.raises(ValueError, match="'H'"):
+            make_spin_orbit_field({("H", 1): 1.0}, GRID)
+
     def test_normalized(self):
         f = make_vector_mode("radial", GRID)
         assert f.total_intensity() == pytest.approx(1.0, abs=1e-12)
