@@ -7,13 +7,18 @@ uniform basis choice on both sides.  Double clicks (signal + dark) resolve
 to the signal outcome; dark-only clicks carry a uniformly random outcome.
 
 Pulses are simulated in blocks of 2**16, each block drawing from its own
-stream derived from the master seed, so results are reproducible and
-independent of any block-level parallelism.
+stream derived from the master seed.  The blocks run on
+min(usable CPUs, 4, number of blocks) threads, the calling thread included;
+numpy releases the interpreter lock for the draws and the reductions.  Each
+block's counts are integers and are summed exactly, so results are
+reproducible and independent of the number of threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -21,6 +26,7 @@ import numpy as np
 from .channel import ChannelParams, _gain_qber, background_yield, transmittance
 
 BLOCK_SIZE = 2**16
+_MAX_THREADS = 4
 
 
 @dataclass(frozen=True)
@@ -43,32 +49,72 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _block_counts(rng: np.random.Generator, size: int, mu: float, eta: float, y0: float,
+                  e_det: float) -> tuple[int, int, int]:
+    """(detections, sifted, errors) of one block.
+
+    The draws are made in a fixed order -- photon numbers, survivors, dark
+    counts, Alice's and Bob's bases, outcome flips -- and each drawn array is
+    dropped as soon as it has been compared, which keeps a thread's peak
+    memory at a few of one block's arrays.
+    """
+    signal = rng.binomial(rng.poisson(mu, size), eta) > 0
+    click = signal | (rng.random(size) < y0)
+    sift = click & (rng.integers(0, 2, size) == rng.integers(0, 2, size))
+    flip = rng.random(size)
+    wrong = np.where(signal, flip < e_det, flip < 0.5)
+    return tuple(int(np.count_nonzero(a)) for a in (click, sift, sift & wrong))
+
+
 def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> SessionStats:
     """Simulate a BB84 session of n_pulses weak coherent pulses."""
-    if n_pulses < 1:
-        raise ValueError("n_pulses must be >= 1")
-    if mu < 0:
-        raise ValueError("mean photon number must be >= 0")
+    if not (math.isfinite(mu) and mu >= 0):
+        raise ValueError(f"mu must be finite and >= 0, got {mu!r}")
+    if not (_is_int(n_pulses) and n_pulses >= 1):
+        raise ValueError(f"n_pulses must be an int >= 1, got {n_pulses!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+    n_pulses, seed = int(n_pulses), int(seed)
     eta = transmittance(p)
     y0 = background_yield(p)
 
-    detections = sifted = errors = 0
     n_blocks = (n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
-    for b in range(n_blocks):
-        size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
-        rng = _block_rng(seed, b)
-        n_phot = rng.poisson(mu, size)
-        survivors = rng.binomial(n_phot, eta)
-        signal = survivors > 0
-        dark = rng.random(size) < y0
-        click = signal | dark
-        basis_match = rng.integers(0, 2, size) == rng.integers(0, 2, size)
-        flip = rng.random(size)
-        wrong = np.where(signal, flip < p.e_det, flip < 0.5)
-        sift = click & basis_match
-        detections += int(click.sum())
-        sifted += int(sift.sum())
-        errors += int((sift & wrong).sum())
+    # every generator is made here, on the calling thread, before any worker starts
+    rngs = [_block_rng(seed, b) for b in range(n_blocks)]
+    n_workers = min(_usable_cpus(), _MAX_THREADS, n_blocks)
+    block_counts: list[tuple[int, int, int] | None] = [None] * n_blocks
+    failures: list[BaseException] = []
+
+    def work(w: int) -> None:
+        # worker w takes blocks w, w + n_workers, ...; all stop once one has failed
+        try:
+            for b in range(w, n_blocks, n_workers):
+                if failures:
+                    return
+                size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
+                block_counts[b] = _block_counts(rngs[b], size, mu, eta, y0, p.e_det)
+        except BaseException as exc:
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, n_workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if failures:
+        raise failures[0]
+    detections, sifted, errors = (sum(col) for col in zip(*block_counts))
 
     q_hat = detections / n_pulses
     q_se = math.sqrt(q_hat * (1 - q_hat) / n_pulses)

@@ -14,7 +14,7 @@ s1 = +1 for H, s2 = +1 for D = (H+V)/sqrt(2), s3 = +1 for L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,8 +46,10 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 32:
             raise ValueError("grid must be at least 32x32")
-        if self.extent_waists < 4:
-            raise ValueError("grid extent must be >= 4 beam waists")
+        if not (math.isfinite(self.extent_waists) and self.extent_waists >= 4):
+            raise ValueError(f"extent_waists must be finite and >= 4, got {self.extent_waists!r}")
+        if not (math.isfinite(self.waist) and self.waist > 0):
+            raise ValueError(f"waist must be finite and > 0, got {self.waist!r}")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         half = self.extent_waists * self.waist / 2
@@ -92,9 +94,18 @@ class AberrationSpec:
     astig_vertical: float = 0.0
     defocus: float = 0.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            c = getattr(self, f.name)
+            if not math.isfinite(c):
+                raise ValueError(f"{f.name} must be finite, got {c!r}")
+
     @classmethod
     def random(cls, seed: int, length_m: float, rms_rad_per_m: float) -> "AberrationSpec":
         """Gaussian coefficients whose RMS grows linearly with channel length."""
+        for name, v in (("length_m", length_m), ("rms_rad_per_m", rms_rad_per_m)):
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
         rng = np.random.default_rng(seed)
         sigma = rms_rad_per_m * length_m
         c = rng.normal(0.0, sigma, 5) if sigma > 0 else np.zeros(5)

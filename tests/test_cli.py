@@ -1,9 +1,10 @@
+import importlib
 import json
 
 import pytest
 
 from uwqkd.channel import ChannelParams
-from uwqkd.cli import main
+from uwqkd.cli import build_parser, main
 from uwqkd.config import (
     RunConfig,
     config_from_dict,
@@ -198,6 +199,14 @@ class TestMonteCarlo:
     def test_zero_pulses_exits_1(self, config_file):
         assert main(["montecarlo", "--config", config_file, "--mu", "0.5", "--n-pulses", "0"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags,field",
+        [(["--mu", "nan"], "mu"), (["--mu", "inf"], "mu"), (["--mu", "0.5", "--seed", "-1"], "seed")],
+    )
+    def test_bad_input_exits_1(self, flags, field, capsys):
+        assert main(["montecarlo", "--n-pulses", "1000", *flags]) == 1
+        assert f"error: {field} must be" in capsys.readouterr().err
+
 
 class TestTomography:
     def test_radial_outputs(self, tmp_path):
@@ -225,6 +234,22 @@ class TestTomography:
             main(["tomography", "--kind", "spiral"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "flags,field",
+        [
+            (["--random-aberration", "--length", "5", "--rms-per-m", "nan"], "rms_rad_per_m"),
+            (["--random-aberration", "--length", "-1"], "length_m"),
+            (["--extent", "nan"], "extent_waists"),
+            (["--tip", "nan"], "tip"),
+            (["--defocus", "inf"], "defocus"),
+        ],
+    )
+    def test_bad_input_exits_1(self, flags, field, tmp_path, capsys):
+        assert main(["tomography", "--kind", "radial", "--n", "32", *flags,
+                     "--out", str(tmp_path / "t")]) == 1
+        assert f"error: {field} must be" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestOptimizeCmd:
     def test_reports_optimum(self, config_file, capsys):
@@ -250,3 +275,33 @@ class TestOptimizeCmd:
     def test_dead_channel_gives_null(self, tmp_path, capsys):
         text = '{"dark_rate_hz": 1e9, "detection_window_s": 1e-9}'
         assert self._cutoff(tmp_path, capsys, text, "50") is None
+
+
+# every subcommand with the callee its handler hands the work to
+HANDLER_CALLEES = {
+    "keyrate": (["keyrate", "--mu", "0.5", "--nu", "0.1"], "uwqkd.decoy", "evaluate_key_rate"),
+    "optimize": (["optimize"], "uwqkd.cli", "optimize_mu_nu"),
+    "sweep": (["sweep", "--l-min", "0", "--l-max", "2", "--step", "1"], "uwqkd.cli", "distance_sweep"),
+    "sifted": (["sifted", "0.01"], "uwqkd.decoy", "sifted_key_fraction"),
+    "montecarlo": (["montecarlo", "--mu", "0.5", "--n-pulses", "1000"], "uwqkd.montecarlo",
+                   "simulate_session"),
+    "tomography": (["tomography", "--kind", "radial", "--n", "32"], "uwqkd.cli", "make_vector_mode"),
+}
+
+
+def test_every_subcommand_has_an_exit_code_case():
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert set(sub.choices) == set(HANDLER_CALLEES)
+
+
+@pytest.mark.parametrize("exc,rc", [(ValueError, 1), (RuntimeError, 2), (KeyError, 2)])
+@pytest.mark.parametrize("command", sorted(HANDLER_CALLEES))
+def test_handler_exception_exit_code(command, exc, rc, monkeypatch, tmp_path, capsys):
+    argv, module, name = HANDLER_CALLEES[command]
+
+    def boom(*args, **kwargs):
+        raise exc("injected")
+
+    monkeypatch.setattr(importlib.import_module(module), name, boom)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == rc
+    assert "injected" in capsys.readouterr().err

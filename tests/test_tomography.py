@@ -197,6 +197,31 @@ class TestAberration:
         long = AberrationSpec.random(1, 10.0, 0.05)
         assert np.allclose(np.array(long.coefficients()), 10 * np.array(short.coefficients()))
 
+    @pytest.mark.parametrize("field", ["tip", "tilt", "astig_oblique", "astig_vertical", "defocus"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coefficient_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AberrationSpec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "length,rms,field",
+        [
+            (5.0, float("nan"), "rms_rad_per_m"),
+            (5.0, -0.05, "rms_rad_per_m"),
+            (5.0, float("inf"), "rms_rad_per_m"),
+            (float("nan"), 0.05, "length_m"),
+            (-1.0, 0.05, "length_m"),
+            (float("inf"), 0.05, "length_m"),
+        ],
+    )
+    def test_random_bad_scale_rejected(self, length, rms, field):
+        with pytest.raises(ValueError, match=field):
+            AberrationSpec.random(0, length, rms)
+
+    def test_random_zero_scale_is_flat(self):
+        assert AberrationSpec.random(3, 0.0, 0.05) == AberrationSpec()
+        assert AberrationSpec.random(3, 5.0, 0.0) == AberrationSpec()
+
     def test_zernike_terms_shape(self):
         screen = zernike_phase(GRID, AberrationSpec(defocus=1.0))
         x, y = GRID.axes()
@@ -250,3 +275,19 @@ def test_grid_invariants():
         GridSpec(n=16)
     with pytest.raises(ValueError):
         GridSpec(n=64, extent_waists=2.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        ({"extent_waists": float("nan")}, "extent_waists"),
+        ({"extent_waists": float("inf")}, "extent_waists"),
+        ({"waist": float("nan")}, "waist"),
+        ({"waist": float("inf")}, "waist"),
+        ({"waist": 0.0}, "waist"),
+        ({"waist": -1.0}, "waist"),
+    ],
+)
+def test_grid_rejects_bad_scale(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        GridSpec(n=64, **kwargs)
