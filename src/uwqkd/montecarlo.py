@@ -89,7 +89,8 @@ def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> S
     y0 = background_yield(p)
 
     n_blocks = (n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
-    # every generator is made here, on the calling thread, before any worker starts
+    # every generator is made on the calling thread before any worker starts, so a
+    # tracer wrapping _block_rng counts blocks without sharing a counter across threads
     rngs = [_block_rng(seed, b) for b in range(n_blocks)]
     n_workers = min(_usable_cpus(), _MAX_THREADS, n_blocks)
     block_counts: list[tuple[int, int, int] | None] = [None] * n_blocks

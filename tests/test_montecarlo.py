@@ -169,14 +169,14 @@ class TestThreadedBlocks:
         p = ChannelParams().at_length(10.5)
         n_blocks = -(-n_pulses // BLOCK_SIZE)
         stats = {}
-        for cpus in (1, 64):
+        for cpus in (1, 2, 3, 64):
             _set_cpus(monkeypatch, cpus)
             started.clear()
             stats[cpus] = simulate_session(p, 0.5, n_pulses, 11)
             # the calling thread works too, so at most n_blocks - 1 threads start
             assert len(started) == min(cpus, 4, n_blocks) - 1
             assert not any(t.is_alive() for t in started)
-        assert stats[1] == stats[64]
+        assert stats[1] == stats[2] == stats[3] == stats[64]
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
         _set_cpus(monkeypatch, 64)
