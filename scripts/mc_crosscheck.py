@@ -8,7 +8,7 @@ and QBER against the Poisson-photon-number model, in units of standard errors.
 import argparse
 import sys
 
-from uwqkd.channel import ChannelParams, background_yield, gain_model, qber_model, transmittance
+from uwqkd.channel import ChannelParams, gain_stats
 from uwqkd.montecarlo import simulate_session, within_model_band
 
 
@@ -27,9 +27,8 @@ def main(argv=None):
     for length in (0.5, 5.0, 10.5, 15.0, 20.5):
         p = base.at_length(length)
         s = simulate_session(p, args.mu, args.n_pulses, args.seed)
-        eta, y0 = transmittance(p), background_yield(p)
-        q_m = gain_model(args.mu, eta, y0)
-        e_m = qber_model(args.mu, eta, y0, p.e_det)
+        model = gain_stats(p, args.mu, 0.0)
+        q_m, e_m = model.q_mu, model.e_mu
         dq = abs(s.q_hat - q_m) / s.q_se if s.q_se else 0.0
         de = abs(s.e_hat - e_m) / s.e_se if s.e_se else 0.0
         band = within_model_band(s, p, args.mu)

@@ -12,8 +12,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-_CLAMP_SLACK = 1e-12
-
 
 class ZeroGainError(ValueError):
     """No clicks at all (no background and no signal), so the QBER is undefined."""
@@ -41,7 +39,6 @@ class ChannelParams:
     pulse_rate_hz: float = 1e9
     detection_window_s: float | None = None
     e_det: float = 0.0027
-    e0: float = 0.5
     f_ec: float = 1.22
     bob_includes_detector: bool = False
 
@@ -61,8 +58,6 @@ class ChannelParams:
             raise ValueError("detection_window_s must be finite and > 0")
         if not 0 <= self.e_det < 0.5:
             raise ValueError(f"e_det must be in [0,0.5), got {self.e_det}")
-        if self.e0 != 0.5:
-            raise ValueError("e0 is fixed at 1/2 (unpolarized background)")
         if not 1 <= self.f_ec < math.inf:
             raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec}")
 
@@ -93,19 +88,12 @@ def background_yield(p: ChannelParams) -> float:
     return p.dark_rate_hz * p.detection_window_s
 
 
-def yield_n(eta: float, y0: float, n: int) -> float:
-    """Detection probability conditioned on an n-photon pulse."""
-    if n < 0:
-        raise ValueError("photon number must be >= 0")
-    y = y0 + 1.0 - (1.0 - eta) ** n
-    return _clamp_unit(y)
-
-
-def _gain_qber(mu, eta, y0, e_det, e0=0.5):
+def _gain_qber(mu, eta, y0, e_det):
     """Gain and QBER of a Poissonian source, on broadcastable arrays.
 
     Returns ``(q, e, s, d)``: the gain Q = Y0 + s, the QBER E, and their
-    signal parts s = Q - Y0 = 1 - exp(-eta mu) and d = E Q - e0 Y0 = e_det s.
+    signal parts s = Q - Y0 = 1 - exp(-eta mu) and d = E Q - Y0/2 = e_det s;
+    background clicks are unpolarized, so their error rate is 1/2.
     The decoy bounds take s and d directly, so Y0 is never subtracted back
     out of a gain it dominates.  s is capped at 1 - Y0 so that Q <= 1.
     """
@@ -113,27 +101,17 @@ def _gain_qber(mu, eta, y0, e_det, e0=0.5):
     q = y0 + s
     d = e_det * s
     with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.minimum(0.5, (e0 * y0 + d) / q)
+        e = np.minimum(0.5, (0.5 * y0 + d) / q)
     return q, e, s, d
 
 
-def gain_model(mu: float, eta: float, y0: float) -> float:
-    """Gain of a Poissonian source of mean photon number mu.
-
-    Closed form of the Poisson-weighted sum over yield_n.
-    """
-    if mu < 0:
-        raise ValueError("mean photon number must be >= 0")
-    return _clamp_unit(float(_gain_qber(mu, eta, y0, 0.0)[0]))
-
-
-def qber_model(mu: float, eta: float, y0: float, e_det: float, e0: float = 0.5) -> float:
+def qber_model(mu: float, eta: float, y0: float, e_det: float) -> float:
     """Modeled QBER: misaligned signal clicks plus unpolarized dark counts."""
-    if not all(map(math.isfinite, (mu, eta, y0, e_det, e0))):
-        raise ValueError(f"non-finite input: mu={mu}, eta={eta}, y0={y0}, e_det={e_det}, e0={e0}")
+    if not all(map(math.isfinite, (mu, eta, y0, e_det))):
+        raise ValueError(f"non-finite input: mu={mu}, eta={eta}, y0={y0}, e_det={e_det}")
     if mu < 0:
         raise ValueError("mean photon number must be >= 0")
-    q, e, _, _ = _gain_qber(mu, eta, y0, e_det, e0)
+    q, e, _, _ = _gain_qber(mu, eta, y0, e_det)
     if q == 0.0:
         raise ZeroGainError()
     return float(e)
@@ -144,15 +122,7 @@ def gain_stats(p: ChannelParams, mu: float, nu: float) -> GainStats:
     if not 0 <= nu < mu:
         raise ValueError(f"invalid decoy ordering: need 0 <= nu < mu, got mu={mu}, nu={nu}")
     y0 = background_yield(p)
-    q, e, _, _ = _gain_qber(np.array([mu, nu]), transmittance(p), y0, p.e_det, p.e0)
+    q, e, _, _ = _gain_qber(np.array([mu, nu]), transmittance(p), y0, p.e_det)
     if q[1] == 0.0:
         raise ZeroGainError()
     return GainStats(q_mu=float(q[0]), e_mu=float(e[0]), q_nu=float(q[1]), e_nu=float(e[1]), y0=y0)
-
-
-def _clamp_unit(x: float) -> float:
-    if not math.isfinite(x):
-        raise ValueError(f"probability {x} is not finite")
-    if x < -_CLAMP_SLACK:
-        raise ValueError(f"probability {x} below 0 beyond numerical slack")
-    return min(1.0, max(0.0, x))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -95,6 +96,9 @@ def _curve_csv(curve: RateCurve) -> str:
 
 
 def _cmd_sweep(args) -> int:
+    for flag, value in (("--l-min", args.l_min), ("--l-max", args.l_max), ("--step", args.step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if args.l_min >= args.l_max:
         raise ValueError("need l_min < l_max")
     if args.step <= 0:
@@ -121,7 +125,7 @@ def _cmd_montecarlo(args) -> int:
     cfg = load_config(args.config)
     p = cfg.channel if args.length is None else cfg.channel.at_length(args.length)
     stats = montecarlo.simulate_session(p, args.mu, args.n_pulses, args.seed)
-    _emit(json.dumps(stats.to_json_dict(), indent=2) + "\n", args.out)
+    _emit(json.dumps(asdict(stats), indent=2) + "\n", args.out)
     if args.check and not montecarlo.within_model_band(stats, p, args.mu):
         print("analytic model outside 4 standard errors", file=sys.stderr)
         return 2

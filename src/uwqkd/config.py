@@ -19,12 +19,11 @@ _CHANNEL_KEYS = (
     "pulse_rate_hz",
     "detection_window_s",
     "e_det",
-    "e0",
     "f_ec",
     "bob_includes_detector",
 )
 
-_OPTIMIZER_KEYS = ("nu_min", "coarse_grid", "refine_iterations", "tolerance", "mu_max")
+_OPTIMIZER_KEYS = ("nu_min", "coarse_grid", "refine_iterations", "mu_max")
 _INT_KEYS = ("coarse_grid", "refine_iterations")
 
 
@@ -59,10 +58,7 @@ def config_from_dict(d: dict) -> RunConfig:
     for key, value in d.items():
         _check_type(key, value)
     channel = ChannelParams(**{k: d[k] for k in _CHANNEL_KEYS if k in d})
-    opt_kwargs = {k: d[k] for k in _OPTIMIZER_KEYS if k in d and k != "mu_max"}
-    if "mu_max" in d:
-        opt_kwargs["mu_range"] = (0.0, float(d["mu_max"]))
-    optimizer = OptimizerConfig(**opt_kwargs)
+    optimizer = OptimizerConfig(**{k: d[k] for k in _OPTIMIZER_KEYS if k in d})
     return RunConfig(
         channel=channel,
         optimizer=optimizer,
@@ -72,14 +68,8 @@ def config_from_dict(d: dict) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     d = {k: getattr(cfg.channel, k) for k in _CHANNEL_KEYS}
-    d.update(
-        nu_min=cfg.optimizer.nu_min,
-        coarse_grid=cfg.optimizer.coarse_grid,
-        refine_iterations=cfg.optimizer.refine_iterations,
-        tolerance=cfg.optimizer.tolerance,
-        mu_max=cfg.optimizer.mu_range[1],
-        modulation_rate_hz=cfg.modulation_rate_hz,
-    )
+    d.update({k: getattr(cfg.optimizer, k) for k in _OPTIMIZER_KEYS})
+    d["modulation_rate_hz"] = cfg.modulation_rate_hz
     return d
 
 

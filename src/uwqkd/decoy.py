@@ -67,27 +67,11 @@ def binary_entropy(e: float) -> float:
     return float(_entropy(e))
 
 
-def ideal_bb84_rate(q: float, e: float) -> float:
-    """Bits per pulse for ideal single-photon BB84: (1/2) Q (1 - 2H(e))."""
-    if not 0 <= q <= 1:
-        raise ValueError(f"gain must be in [0,1], got {q}")
-    return max(0.0, 0.5 * q * (1 - 2 * binary_entropy(e)))
-
-
 def sifted_key_fraction(e: float) -> float:
     """Key rate per sifted photon, 1 - 2H(e), floored at 0."""
     if not 0 <= e <= 0.5:
         raise ValueError(f"QBER must be in [0,0.5], got {e}")
     return max(0.0, 1 - 2 * binary_entropy(e))
-
-
-def poisson_pn(mu: float, n: int) -> float:
-    """Photon-number distribution of a weak coherent pulse, mu^n e^-mu / n!."""
-    if mu < 0:
-        raise ValueError("mean photon number must be >= 0")
-    if n < 0:
-        raise ValueError("photon number must be >= 0")
-    return mu**n * math.exp(-mu) / math.factorial(n)
 
 
 def _decoy_bounds(s_mu, s_nu, d_nu, mu, nu, y0):
@@ -119,12 +103,6 @@ def _key_fraction(q_mu, e_mu, q1, e1, f_ec):
 def _check_ordering(mu: float, nu: float) -> None:
     if not 0 < nu < mu:
         raise ValueError(f"invalid decoy ordering: need 0 < nu < mu, got mu={mu}, nu={nu}")
-
-
-def q1_lower_bound(q_mu: float, q_nu: float, mu: float, nu: float, y0: float) -> float:
-    """Lower bound on the single-photon gain Q1, clamped below at 0."""
-    _check_ordering(mu, nu)
-    return float(_decoy_bounds(q_mu - y0, q_nu - y0, 0.0, mu, nu, y0)[0])
 
 
 def estimate_single_photon(stats: GainStats, mu: float, nu: float) -> DecoyEstimate:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +40,6 @@ class SessionStats:
     q_se: float
     e_se: float | None
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -144,7 +141,7 @@ def within_model_band(stats: SessionStats, p: ChannelParams, mu: float, n_se: fl
     channels with near-zero observed error counts do not degenerate the
     band; one count of discreteness slack is allowed on the QBER.
     """
-    q_model, e_model, _, _ = _gain_qber(mu, transmittance(p), background_yield(p), p.e_det, p.e0)
+    q_model, e_model, _, _ = _gain_qber(mu, transmittance(p), background_yield(p), p.e_det)
     q_se = max(stats.q_se, math.sqrt(q_model * (1 - q_model) / stats.pulses_sent))
     ok = abs(stats.q_hat - q_model) <= n_se * q_se
     if stats.sifted > 0 and stats.e_hat is not None:

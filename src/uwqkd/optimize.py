@@ -32,27 +32,24 @@ class OptimizerConfig:
     Each of the ``refine_iterations`` passes after the coarse grid is three
     zoom rounds: a 9 x 9 grid in (log mu, log nu) around the best point, whose
     half-width starts at one coarse step and shrinks by 4x per round (0 keeps
-    the coarse optimum).  ``tolerance`` no longer affects the search; it is
-    still validated so that existing configs load.
+    the coarse optimum).  The coarse mu axis runs from 2 nu_min to mu_max.
     """
 
-    mu_range: tuple[float, float] = (0.0, 1.0)
+    mu_max: float = 1.0
     nu_min: float = 1e-4
     coarse_grid: int = 64
     refine_iterations: int = 3
-    tolerance: float = 1e-6
 
     def __post_init__(self):
         if not 0 < self.nu_min < math.inf:
             raise ValueError(f"nu_min must be finite and > 0, got {self.nu_min}")
         if self.coarse_grid < 8:
             raise ValueError("coarse_grid must be >= 8 points per axis")
-        if not 0 <= self.mu_range[0] < self.mu_range[1] < math.inf:
-            raise ValueError(f"invalid mu_range {self.mu_range}")
+        # an empty search box would give backwards axes and a mu above mu_max
+        if not 2 * self.nu_min < self.mu_max < math.inf:
+            raise ValueError(f"mu_max must be finite and > 2 * nu_min = {2 * self.nu_min}, got {self.mu_max}")
         if self.refine_iterations < 0:
             raise ValueError("refine_iterations must be >= 0")
-        if not 0 <= self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -83,8 +80,8 @@ def _k_grid(cols: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
 
 def _axes(cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray]:
     """The log-uniform coarse-grid axes (mus, nus)."""
-    mus = np.geomspace(max(cfg.mu_range[0], 2 * cfg.nu_min), cfg.mu_range[1], cfg.coarse_grid)
-    return mus, np.geomspace(cfg.nu_min, cfg.mu_range[1] * (1 - 1e-9), cfg.coarse_grid)
+    mus = np.geomspace(2 * cfg.nu_min, cfg.mu_max, cfg.coarse_grid)
+    return mus, np.geomspace(cfg.nu_min, cfg.mu_max * (1 - 1e-9), cfg.coarse_grid)
 
 
 def _coarse_best(cols: np.ndarray, mus: np.ndarray, nus: np.ndarray):
@@ -174,6 +171,8 @@ def max_secure_distance(
     """
     if not 0 <= tol_m < math.inf:
         raise ValueError(f"tol_m must be finite and >= 0, got {tol_m}")
+    if not 0 <= l_max < math.inf:
+        raise ValueError(f"l_max must be finite and >= 0, got {l_max}")
     coarse = replace(cfg or OptimizerConfig(), refine_iterations=0)
 
     def has_key(length):

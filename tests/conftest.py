@@ -14,25 +14,27 @@ from uwqkd.channel import ChannelParams
 N_MAX = 50
 
 
+def poisson_pn(mu, n):
+    """Photon-number distribution of a weak coherent pulse, mu^n e^-mu / n!."""
+    return mu**n * math.exp(-mu) / math.factorial(n)
+
+
 def fock_yield(eta, y0, n):
-    # same physical rule as channel.yield_n, restated independently
+    # detection probability of an n-photon pulse: the per-photon rule behind
+    # channel._gain_qber's closed form, restated independently
     return min(1.0, y0 + 1.0 - (1.0 - eta) ** n)
 
 
 def fock_gain(mu, eta, y0, n_max=N_MAX):
-    return sum(
-        mu**n * math.exp(-mu) / math.factorial(n) * fock_yield(eta, y0, n)
-        for n in range(n_max + 1)
-    )
+    return sum(poisson_pn(mu, n) * fock_yield(eta, y0, n) for n in range(n_max + 1))
 
 
 def fock_error_gain(mu, eta, y0, e_det, n_max=N_MAX):
     """Poisson-weighted sum of e_n * Y_n (error mass per pulse)."""
     total = 0.0
     for n in range(n_max + 1):
-        pn = mu**n * math.exp(-mu) / math.factorial(n)
         err = min(fock_yield(eta, y0, n), 0.5 * y0 + e_det * (1.0 - (1.0 - eta) ** n))
-        total += pn * err
+        total += poisson_pn(mu, n) * err
     return total
 
 

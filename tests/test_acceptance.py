@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from uwqkd.channel import ChannelParams, GainStats, gain_model, qber_model
-from uwqkd.decoy import estimate_single_photon, q1_lower_bound, sifted_key_fraction
+from uwqkd.channel import ChannelParams, GainStats, _gain_qber, qber_model
+from uwqkd.decoy import estimate_single_photon, sifted_key_fraction
 from uwqkd.montecarlo import simulate_session, within_model_band
 from uwqkd.optimize import distance_sweep, max_secure_distance, optimize_mu_nu
 from uwqkd.qstate import PolLabel, make_pol_state, overlap_prob, qplate_apply, superpose, vector_mub_states
@@ -147,16 +147,13 @@ class TestCriterion5BoundValidity:
             nu = rng.uniform(1e-4, mu) if mu > 1e-4 else mu / 2
             if not 0 < nu < mu:
                 continue
-            q_mu, q_nu = gain_model(mu, eta, y0), gain_model(nu, eta, y0)
-            q1 = q1_lower_bound(q_mu, q_nu, mu, nu, y0)
-            if q1 > q1_true(mu, eta, y0) + 1e-12:
+            q_mu, q_nu = (float(_gain_qber(x, eta, y0, e_det)[0]) for x in (mu, nu))
+            e_mu, e_nu = qber_model(mu, eta, y0, e_det), qber_model(nu, eta, y0, e_det)
+            est = estimate_single_photon(GainStats(q_mu, e_mu, q_nu, e_nu, y0), mu, nu)
+            if est.q1_lower > q1_true(mu, eta, y0) + 1e-12:
                 violations += 1
-            if q1 > 0:
-                e_nu = qber_model(nu, eta, y0, e_det)
-                stats = GainStats(q_mu, qber_model(mu, eta, y0, e_det), q_nu, e_nu, y0)
-                e1 = estimate_single_photon(stats, mu, nu).e1_upper
-                if e1 < min(0.5, e1_true(eta, y0, e_det)) - 1e-12:
-                    violations += 1
+            if est.q1_lower > 0 and est.e1_upper < min(0.5, e1_true(eta, y0, e_det)) - 1e-12:
+                violations += 1
         ok = violations == 0
         report(5, ok, f"{violations} bound violations over 10^4 randomized channels", t0)
         assert ok

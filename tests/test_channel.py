@@ -5,15 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from uwqkd.channel import (
     ChannelParams,
+    _gain_qber,
     background_yield,
-    gain_model,
     gain_stats,
     qber_model,
     transmittance,
-    yield_n,
 )
 
-from conftest import fock_gain
+from conftest import fock_gain, fock_yield
+
+
+def gain(mu, eta, y0):
+    return float(_gain_qber(mu, eta, y0, 0.0)[0])
 
 
 class TestParams:
@@ -29,7 +32,7 @@ class TestParams:
             dict(alpha_db_per_m=-1),
             dict(length_m=-1),
             dict(e_det=0.5),
-            dict(e0=0.3),
+            dict(e_det=math.nan),
             dict(f_ec=0.9),
             dict(f_ec=math.nan),
             dict(alpha_db_per_m=math.nan),
@@ -96,38 +99,32 @@ class TestBackgroundYield:
 
 
 class TestYields:
+    # the per-photon-number yield lives in the Fock oracle of conftest.py
     def test_vacuum(self):
-        assert yield_n(0.3, 1e-5, 0) == pytest.approx(1e-5)
+        assert fock_yield(0.3, 1e-5, 0) == pytest.approx(1e-5)
 
     def test_lossless_always_clicks(self):
         for n in (1, 2, 10):
-            assert yield_n(1.0, 0.0, n) == 1.0
+            assert fock_yield(1.0, 0.0, n) == 1.0
 
     def test_single_photon(self):
-        assert yield_n(0.1, 1e-5, 1) == pytest.approx(0.10001)
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            yield_n(0.1, 0, -1)
+        assert fock_yield(0.1, 1e-5, 1) == pytest.approx(0.10001)
 
     @pytest.mark.parametrize("eta,y0", [(math.nan, 0.0), (0.1, math.nan)])
     def test_non_finite_rejected(self, eta, y0):
-        # a NaN probability must not be clamped to 0
-        with pytest.raises(ValueError, match="not finite"):
-            yield_n(eta, y0, 1)
-        with pytest.raises(ValueError, match="not finite"):
-            gain_model(0.5, eta, y0)
+        # the kernel's caps must not clamp a NaN gain into [0, 1]
+        assert math.isnan(gain(0.5, eta, y0))
 
 
 class TestGainModel:
     def test_mu_zero(self):
-        assert gain_model(0.0, 0.1, 1e-5) == pytest.approx(1e-5)
+        assert gain(0.0, 0.1, 1e-5) == pytest.approx(1e-5)
 
     def test_example_value(self):
-        assert gain_model(0.5, 0.1, 1e-5) == pytest.approx(0.048780, abs=1e-6)
+        assert gain(0.5, 0.1, 1e-5) == pytest.approx(0.048780, abs=1e-6)
 
     def test_eta_zero(self):
-        assert gain_model(0.7, 0.0, 1e-5) == pytest.approx(1e-5)
+        assert gain(0.7, 0.0, 1e-5) == pytest.approx(1e-5)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -138,12 +135,12 @@ class TestGainModel:
     def test_matches_fock_expansion(self, mu, eta, y0):
         # eta/y0 kept where the [0,1] yield clamp never fires, so the
         # truncated Poisson sum is the exact analytic counterpart
-        assert gain_model(mu, eta, y0) == pytest.approx(fock_gain(mu, eta, y0), abs=1e-10)
+        assert gain(mu, eta, y0) == pytest.approx(fock_gain(mu, eta, y0), abs=1e-10)
 
     @given(mu=st.floats(0.01, 2), eta=st.floats(1e-3, 0.9))
     def test_monotone_in_mu_and_eta(self, mu, eta):
-        assert gain_model(mu * 1.1, eta, 1e-6) > gain_model(mu, eta, 1e-6)
-        assert gain_model(mu, min(1.0, eta * 1.1), 1e-6) > gain_model(mu, eta, 1e-6)
+        assert gain(mu * 1.1, eta, 1e-6) > gain(mu, eta, 1e-6)
+        assert gain(mu, min(1.0, eta * 1.1), 1e-6) > gain(mu, eta, 1e-6)
 
 
 class TestQberModel:
@@ -154,7 +151,7 @@ class TestQberModel:
         assert qber_model(1e-12, 0.1, 1e-5, 0.01) == pytest.approx(0.5, abs=1e-6)
 
     def test_example_value(self):
-        expected = (0.5e-5 + 0.01 * (1 - math.exp(-0.05))) / gain_model(0.5, 0.1, 1e-5)
+        expected = (0.5e-5 + 0.01 * (1 - math.exp(-0.05))) / gain(0.5, 0.1, 1e-5)
         assert qber_model(0.5, 0.1, 1e-5, 0.01) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_gain_rejected(self):

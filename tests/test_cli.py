@@ -39,9 +39,15 @@ class TestConfig:
         loaded = load_config(path)
         assert config_to_dict(loaded) == config_to_dict(cfg)
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            config_from_dict({"alpha_db_per_km": 0.5})
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # tolerance and e0 were removed: old configs that set them fail loudly
+        path = tmp_path / "old.json"
+        for key, value in (("alpha_db_per_km", 0.5), ("tolerance", 1e-6), ("e0", 0.5)):
+            with pytest.raises(ValueError, match=key):
+                config_from_dict({key: value})
+            path.write_text(json.dumps({key: value}))
+            assert main(["optimize", "--config", str(path)]) == 1
+            assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rate", [-5.0, 0.0, float("nan"), float("inf")])
     def test_modulation_rate_validated(self, rate):
@@ -63,6 +69,8 @@ class TestConfig:
             ('{"alpha_db_per_m": NaN}', "alpha_db_per_m"),
             ('{"modulation_rate_hz": -5}', "modulation_rate_hz"),
             ('{"modulation_rate_hz": NaN}', "modulation_rate_hz"),
+            ('{"mu_max": 1e-4}', "mu_max"),
+            ('{"nu_min": 2.0}', "mu_max"),
         ],
     )
     def test_bad_value_exits_1(self, text, key, tmp_path, capsys):
@@ -119,8 +127,13 @@ class TestSweep:
         ks = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(b <= a for a, b in zip(ks, ks[1:]))
 
-    def test_empty_range_exits_1(self, config_file):
+    def test_empty_range_exits_1(self, config_file, capsys):
         assert main(["sweep", "--config", config_file, "--l-min", "5", "--l-max", "5", "--step", "1"]) == 1
+        # non-finite flags are named, before numpy sizes the length grid (the last flag given wins)
+        for flag, value in (("--l-min", "nan"), ("--l-max", "inf"), ("--step", "inf"), ("--step", "nan")):
+            argv = ["sweep", "--config", config_file, "--l-min", "0", "--l-max", "10", "--step", "1"]
+            assert main([*argv, flag, value]) == 1
+            assert f"error: {flag} must be finite" in capsys.readouterr().err
 
     def test_step_larger_than_range(self, config_file, capsys):
         rc = main(["sweep", "--config", config_file, "--l-min", "1", "--l-max", "2", "--step", "10"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uwqkd.channel import ChannelParams, GainStats, gain_model, qber_model
+from uwqkd.channel import ChannelParams, GainStats, _gain_qber, qber_model
 from uwqkd.cli import _result_payload
 from uwqkd.decoy import (
     FLAG_NO_POSITIVE_KEY,
@@ -14,13 +14,14 @@ from uwqkd.decoy import (
     decoy_key_rate,
     estimate_single_photon,
     evaluate_key_rate,
-    ideal_bb84_rate,
-    poisson_pn,
-    q1_lower_bound,
     sifted_key_fraction,
 )
 
-from conftest import e1_true, fock_gain, fock_qber, q1_true
+from conftest import e1_true, fock_gain, fock_qber, poisson_pn, q1_true
+
+
+def gain(mu, eta, y0):
+    return float(_gain_qber(mu, eta, y0, 0.0)[0])
 
 
 class TestBinaryEntropy:
@@ -51,15 +52,16 @@ class TestBinaryEntropy:
 
 
 class TestIdealRate:
+    # ideal single-photon BB84 gives (1/2) Q (1 - 2H(e)) bits per pulse
     def test_perfect_channel(self):
-        assert ideal_bb84_rate(1.0, 0.0) == 0.5
+        assert 0.5 * 1.0 * sifted_key_fraction(0.0) == 0.5
 
     def test_saturated_error_floored(self):
-        assert ideal_bb84_rate(0.7, 0.5) == 0.0
+        assert 0.5 * 0.7 * sifted_key_fraction(0.5) == 0.0
 
     def test_near_threshold(self):
         # H(0.11) is just under 1/2, so the rate is tiny but positive
-        r = ideal_bb84_rate(1.0, 0.11)
+        r = 0.5 * 1.0 * sifted_key_fraction(0.11)
         assert 0 < r < 5e-4
 
 
@@ -113,22 +115,23 @@ class TestPoisson:
 
 
 class TestQ1Bound:
+    # Q1 does not read the error rates, so zeros stand in for them
     def test_dead_channel(self):
-        assert q1_lower_bound(0.0, 0.0, 0.5, 0.1, 0.0) == 0.0
+        assert estimate_single_photon(GainStats(0.0, 0.0, 0.0, 0.0, 0.0), 0.5, 0.1).q1_lower == 0.0
 
     def test_ordering_enforced(self):
+        stats = GainStats(0.1, 0.0, 0.05, 0.0, 0.0)
         with pytest.raises(ValueError):
-            q1_lower_bound(0.1, 0.05, 0.5, 0.5, 0.0)
+            estimate_single_photon(stats, 0.5, 0.5)
         with pytest.raises(ValueError):
-            q1_lower_bound(0.1, 0.05, 0.5, 0.0, 0.0)
+            estimate_single_photon(stats, 0.5, 0.0)
 
     def test_example_channel(self):
         eta, y0, mu, nu = 0.1, 1e-5, 0.5, 0.1
-        q_mu = gain_model(mu, eta, y0)
-        q_nu = gain_model(nu, eta, y0)
+        stats = GainStats(gain(mu, eta, y0), 0.0, gain(nu, eta, y0), 0.0, y0)
         truth = q1_true(mu, eta, y0)
         assert truth == pytest.approx(0.030330, abs=1e-5)
-        bound = q1_lower_bound(q_mu, q_nu, mu, nu, y0)
+        bound = estimate_single_photon(stats, mu, nu).q1_lower
         assert 0 < bound <= truth + 1e-12
 
 
@@ -144,9 +147,9 @@ class TestE1Bound:
     def test_example_channel(self):
         eta, y0, mu, nu, e_det = 0.1, 1e-5, 0.5, 0.1, 0.01
         stats = GainStats(
-            gain_model(mu, eta, y0),
+            gain(mu, eta, y0),
             qber_model(mu, eta, y0, e_det),
-            gain_model(nu, eta, y0),
+            gain(nu, eta, y0),
             qber_model(nu, eta, y0, e_det),
             y0,
         )
@@ -175,14 +178,12 @@ class TestBoundValidityRandomized:
             e_det = rng.uniform(0, 0.1)
             mu = rng.uniform(0.05, 1.0)
             nu = rng.uniform(1e-4, mu * 0.999)
-            q_mu, q_nu = gain_model(mu, eta, y0), gain_model(nu, eta, y0)
-            q1 = q1_lower_bound(q_mu, q_nu, mu, nu, y0)
-            assert q1 <= q1_true(mu, eta, y0) + 1e-12
-            if q1 > 0:
-                e_nu = qber_model(nu, eta, y0, e_det)
-                stats = GainStats(q_mu, qber_model(mu, eta, y0, e_det), q_nu, e_nu, y0)
-                e1 = estimate_single_photon(stats, mu, nu).e1_upper
-                assert e1 >= min(0.5, e1_true(eta, y0, e_det)) - 1e-12
+            stats = GainStats(gain(mu, eta, y0), qber_model(mu, eta, y0, e_det),
+                              gain(nu, eta, y0), qber_model(nu, eta, y0, e_det), y0)
+            est = estimate_single_photon(stats, mu, nu)
+            assert est.q1_lower <= q1_true(mu, eta, y0) + 1e-12
+            if est.q1_lower > 0:
+                assert est.e1_upper >= min(0.5, e1_true(eta, y0, e_det)) - 1e-12
 
 
 class TestEstimate:
@@ -221,7 +222,7 @@ class TestKeyRate:
             mu = rng.uniform(0.05, 1)
             nu = rng.uniform(1e-4, mu * 0.99)
             res = evaluate_key_rate(p, mu, nu)
-            assert res.k_per_pulse <= ideal_bb84_rate(res.components["q_mu"], 0.0) + 1e-15
+            assert res.k_per_pulse <= 0.5 * res.components["q_mu"] * sifted_key_fraction(0.0) + 1e-15
 
     def test_deterministic(self, flume_params):
         a = evaluate_key_rate(flume_params.at_length(20.0), 0.4, 0.05)

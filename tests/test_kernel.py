@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from uwqkd.channel import ChannelParams, background_yield, transmittance
-from uwqkd.decoy import _channel_columns, evaluate_key_rate, q1_lower_bound
+from uwqkd.channel import ChannelParams, GainStats, background_yield, transmittance
+from uwqkd.decoy import _channel_columns, estimate_single_photon, evaluate_key_rate
 from uwqkd.optimize import _k_grid
 
 
@@ -67,7 +67,8 @@ class TestAgainstMpmath:
             # Q1 from the rounded gains, as for measured data
             with mp.workdps(50):
                 q1_gains = q1_reference(*map(mpf, (c["q_mu"], c["q_nu"], mu, nu, c["y0"])))
-            assert rel(q1_lower_bound(c["q_mu"], c["q_nu"], mu, nu, c["y0"]), q1_gains) <= 1e-12
+            stats = GainStats(c["q_mu"], c["e_mu"], c["q_nu"], c["e_nu"], c["y0"])
+            assert rel(estimate_single_photon(stats, mu, nu).q1_lower, q1_gains) <= 1e-12
 
 
 class TestScalarAndGridAgree:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uwqkd import montecarlo
-from uwqkd.channel import ChannelParams, background_yield, gain_model, transmittance
+from uwqkd.channel import ChannelParams, background_yield, gain_stats, transmittance
 from uwqkd.montecarlo import BLOCK_SIZE, simulate_session, within_model_band
 
 
@@ -59,7 +59,7 @@ class TestModelAgreement:
     def test_flume_channel(self, flume_params):
         p = flume_params.at_length(10.5)
         s = simulate_session(p, 0.5, 10**6, 42)
-        q_model = gain_model(0.5, transmittance(p), background_yield(p))
+        q_model = gain_stats(p, 0.5, 0.0).q_mu
         assert abs(s.q_hat - q_model) <= 4 * s.q_se
         assert within_model_band(s, p, 0.5)
 

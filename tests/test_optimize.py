@@ -46,10 +46,17 @@ class TestConfig:
             OptimizerConfig(nu_min=0)
         with pytest.raises(ValueError):
             OptimizerConfig(coarse_grid=4)
-        bad = {"nu_min": math.nan, "mu_range": (0.0, math.inf), "tolerance": math.nan}
-        for field, value in bad.items():
+        bad = [
+            ({"nu_min": math.nan}, "nu_min"),
+            ({"mu_max": math.inf}, "mu_max"),
+            ({"mu_max": math.nan}, "mu_max"),
+            # an empty search box: the coarse mu axis starts at 2 nu_min
+            ({"mu_max": 2e-4}, "mu_max"),
+            ({"nu_min": 0.5}, "mu_max"),
+        ]
+        for kwargs, field in bad:
             with pytest.raises(ValueError, match=field):
-                OptimizerConfig(**{field: value})
+                OptimizerConfig(**kwargs)
 
 
 class TestOptimizeMuNu:
@@ -91,10 +98,6 @@ class TestOptimizeMuNu:
     def test_deterministic(self, flume_params):
         p = flume_params.at_length(15.0)
         assert optimize_mu_nu(p) == optimize_mu_nu(p)
-
-    def test_tolerance_does_not_change_search(self, dark_only_params):
-        p = dark_only_params.at_length(20.0)
-        assert optimize_mu_nu(p, OptimizerConfig(tolerance=0.1)) == optimize_mu_nu(p)
 
     def test_coarse_only(self, dark_only_params):
         # refine_iterations=0 returns a coarse-grid point
@@ -264,6 +267,11 @@ class TestMaxSecureDistance:
     def test_bad_tolerance_rejected(self, tol_m, probe_budget):
         with pytest.raises(ValueError, match="tol_m"):
             max_secure_distance(ChannelParams(), FAST, tol_m=tol_m)
+
+    @pytest.mark.parametrize("l_max", [-5.0, math.nan, math.inf])
+    def test_bad_l_max_rejected(self, l_max, probe_budget):
+        with pytest.raises(ValueError, match="l_max"):
+            max_secure_distance(ChannelParams(), FAST, l_max=l_max)
 
     def test_noiseless_unbounded(self):
         p = ChannelParams(dark_rate_hz=0, e_det=0.0)
