@@ -26,6 +26,7 @@ from .qstate import PolLabel
 from .tomography import (
     AberrationSpec,
     GridSpec,
+    StokesField,
     apply_aberration,
     make_vector_mode,
     project_all,
@@ -99,6 +100,8 @@ def _cmd_sweep(args) -> int:
     for flag, value in (("--l-min", args.l_min), ("--l-max", args.l_max), ("--step", args.step)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
+    if args.l_min < 0:
+        raise ValueError(f"--l-min must be >= 0, got {args.l_min}")
     if args.l_min >= args.l_max:
         raise ValueError("need l_min < l_max")
     if args.step <= 0:
@@ -133,13 +136,42 @@ def _cmd_montecarlo(args) -> int:
 
 
 def write_pgm(path: str | Path, arr: np.ndarray) -> None:
-    """Plain 16-bit PGM, intensity scaled to the array peak."""
+    """Binary 16-bit PGM (P5), intensity scaled to the array peak."""
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):
         raise ValueError("PGM intensities must be finite and >= 0")
     peak = float(arr.max())
-    scaled = np.zeros_like(arr, dtype=int) if peak == 0 else np.round(arr / peak * 65535).astype(int)
+    scaled = (np.zeros(arr.shape, dtype=">u2") if peak == 0
+              else np.round(arr / peak * 65535).astype(">u2"))
     h, w = arr.shape
-    np.savetxt(path, scaled, fmt="%d", header=f"P2\n{w} {h}\n65535", comments="")
+    with open(path, "wb") as f:
+        f.write(f"P5\n{w} {h}\n65535\n".encode())
+        f.write(scaled.tobytes())
+
+
+def _write_stokes_csv(path: str, grid: GridSpec, stokes: StokesField) -> None:
+    """The ``np.savetxt`` table byte for byte, formatted one block of ``grid.n`` rows per ``%``."""
+    cols = (*grid.axes(), stokes.intensity, stokes.s1, stokes.s2, stokes.s3, stokes.valid)
+    table = np.column_stack([c.ravel() for c in cols])
+    with open(path, "w") as f:
+        f.write("x,y,intensity,s1,s2,s3,valid\n")
+        for start in range(0, len(table), grid.n):
+            rows = table[start:start + grid.n]
+            f.write((("%.9g," * 6 + "%d\n") * len(rows)) % tuple(rows.ravel().tolist()))
+
+
+def _write_json_object(path: str, payload: dict) -> None:
+    r"""``json.dumps(payload) + "\n"`` byte for byte, one key at a time.
+
+    An array value becomes a Python list only when its key is written, so at
+    most one map is held as a list.
+    """
+    with open(path, "w") as f:
+        f.write("{")
+        for i, (key, value) in enumerate(payload.items()):
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            f.write((", " if i else "") + json.dumps(key) + ": " + json.dumps(value))
+        f.write("}\n")
 
 
 def _cmd_tomography(args) -> int:
@@ -157,23 +189,19 @@ def _cmd_tomography(args) -> int:
     for lab in PolLabel:
         write_pgm(f"{prefix}_I{lab.value}.pgm", intensities[lab])
     if args.format == "json":
-        payload = {
+        _write_json_object(f"{prefix}_stokes.json", {
             "kind": args.kind,
             "n": grid.n,
             "extent_waists": grid.extent_waists,
             "aberration": spec.coefficients(),
-            "s1": stokes.s1.tolist(),
-            "s2": stokes.s2.tolist(),
-            "s3": stokes.s3.tolist(),
-            "intensity": stokes.intensity.tolist(),
-            "valid": stokes.valid.astype(int).tolist(),
-        }
-        Path(f"{prefix}_stokes.json").write_text(json.dumps(payload) + "\n")
+            "s1": stokes.s1,
+            "s2": stokes.s2,
+            "s3": stokes.s3,
+            "intensity": stokes.intensity,
+            "valid": stokes.valid.astype(int),
+        })
     else:
-        cols = (*grid.axes(), stokes.intensity, stokes.s1, stokes.s2, stokes.s3, stokes.valid)
-        np.savetxt(f"{prefix}_stokes.csv", np.column_stack([c.ravel() for c in cols]),
-                   fmt=["%.9g"] * 6 + ["%d"], delimiter=",", header="x,y,intensity,s1,s2,s3,valid",
-                   comments="")
+        _write_stokes_csv(f"{prefix}_stokes.csv", grid, stokes)
     return 0
 
 

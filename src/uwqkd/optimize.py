@@ -171,8 +171,8 @@ def max_secure_distance(
     """
     if not 0 <= tol_m < math.inf:
         raise ValueError(f"tol_m must be finite and >= 0, got {tol_m}")
-    if not 0 <= l_max < math.inf:
-        raise ValueError(f"l_max must be finite and >= 0, got {l_max}")
+    if not 0 < l_max < math.inf:
+        raise ValueError(f"l_max must be finite and > 0, got {l_max}")
     coarse = replace(cfg or OptimizerConfig(), refine_iterations=0)
 
     def has_key(length):

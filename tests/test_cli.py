@@ -134,6 +134,10 @@ class TestSweep:
             argv = ["sweep", "--config", config_file, "--l-min", "0", "--l-max", "10", "--step", "1"]
             assert main([*argv, flag, value]) == 1
             assert f"error: {flag} must be finite" in capsys.readouterr().err
+        # a negative start is named by its flag, not by the ChannelParams field
+        argv = ["sweep", "--config", config_file, "--l-min", "-1", "--l-max", "2", "--step", "1"]
+        assert main(argv) == 1
+        assert "error: --l-min must be >= 0" in capsys.readouterr().err
 
     def test_step_larger_than_range(self, config_file, capsys):
         rc = main(["sweep", "--config", config_file, "--l-min", "1", "--l-max", "2", "--step", "10"])
@@ -229,9 +233,11 @@ class TestTomography:
         csv = (tmp_path / "radial_stokes.csv").read_text().splitlines()
         assert csv[0] == "x,y,intensity,s1,s2,s3,valid"
         assert len(csv) == 48 * 48 + 1
+        header = b"P5\n48 48\n65535\n"
         for lab in "HVDALR":
-            pgm = (tmp_path / f"radial_I{lab}.pgm").read_text()
-            assert pgm.startswith("P2\n48 48\n65535\n")
+            pgm = (tmp_path / f"radial_I{lab}.pgm").read_bytes()
+            assert pgm.startswith(header)
+            assert len(pgm) - len(header) == 2 * 48 * 48
 
     def test_seeded_aberration_reproducible(self, tmp_path):
         args = [
@@ -288,6 +294,10 @@ class TestOptimizeCmd:
     def test_dead_channel_gives_null(self, tmp_path, capsys):
         text = '{"dark_rate_hz": 1e9, "detection_window_s": 1e-9}'
         assert self._cutoff(tmp_path, capsys, text, "50") is None
+
+    def test_zero_l_max_exits_1(self, capsys):
+        assert main(["optimize", "--max-distance", "--l-max", "0"]) == 1
+        assert "error: l_max must be" in capsys.readouterr().err
 
 
 # every subcommand with the callee its handler hands the work to

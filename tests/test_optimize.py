@@ -268,7 +268,7 @@ class TestMaxSecureDistance:
         with pytest.raises(ValueError, match="tol_m"):
             max_secure_distance(ChannelParams(), FAST, tol_m=tol_m)
 
-    @pytest.mark.parametrize("l_max", [-5.0, math.nan, math.inf])
+    @pytest.mark.parametrize("l_max", [-5.0, 0.0, math.nan, math.inf])
     def test_bad_l_max_rejected(self, l_max, probe_budget):
         with pytest.raises(ValueError, match="l_max"):
             max_secure_distance(ChannelParams(), FAST, l_max=l_max)

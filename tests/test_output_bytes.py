@@ -1,9 +1,17 @@
 """Byte-level pins of the CLI's output files.
 
 ``tests/data/cli_output_sha256.json`` holds the SHA-256 of every file that
-``COMMANDS`` writes, recorded with the per-pixel writers that ``cli.py`` used
-before it wrote its tables with ``np.savetxt``.  The oracle tests keep those
-per-pixel loops here and compare them with the current writers directly.
+``COMMANDS`` writes.  The Stokes CSV and JSON, sweep, keyrate, optimize and
+Monte Carlo hashes were recorded with the per-pixel writers that ``cli.py``
+used before it wrote whole arrays; the PGM hashes were recorded when
+``write_pgm`` became a binary 16-bit P5 writer, after every P5 file was
+decoded to the pixels the earlier plain P2 writer produced.
+
+The writers under test: ``write_pgm`` writes the P5 header and the scaled
+pixels as big-endian ``u2``; the Stokes CSV is formatted one block of n rows
+per ``%`` and must equal ``np.savetxt`` byte for byte; the Stokes JSON is
+written one key at a time and must equal ``json.dumps`` of the whole payload.
+The per-pixel CSV and PGM loops stay here as oracles.
 """
 
 from __future__ import annotations
@@ -15,8 +23,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import uwqkd.cli
 from uwqkd.cli import main, write_pgm
-from uwqkd.tomography import GridSpec, make_vector_mode, project_all, reconstruct_stokes
+from uwqkd.tomography import (
+    AberrationSpec,
+    GridSpec,
+    apply_aberration,
+    make_vector_mode,
+    project_all,
+    reconstruct_stokes,
+)
 
 HASHES = Path(__file__).parent / "data" / "cli_output_sha256.json"
 
@@ -110,20 +126,88 @@ def test_stokes_csv_matches_per_pixel_oracle(n, kind, tmp_path):
     assert (tmp_path / "t_stokes.csv").read_text() == _csv_oracle(stokes, grid)
 
 
+def _assert_p5_matches_oracle(path: Path, arr: np.ndarray) -> None:
+    # the P5 file must carry exactly the pixels of the plain P2 oracle
+    h, w = arr.shape
+    header = f"P5\n{w} {h}\n65535\n".encode()
+    raw = path.read_bytes()
+    assert raw[:len(header)] == header
+    assert len(raw) == len(header) + 2 * w * h
+    want = np.array(_pgm_oracle(arr).split()[4:], dtype=np.int64).reshape(h, w)
+    np.testing.assert_array_equal(np.frombuffer(raw[len(header):], dtype=">u2").reshape(h, w), want)
+
+
 @pytest.mark.parametrize("n", [48, 67])
 def test_pgm_matches_per_pixel_oracle(n, tmp_path):
     for lab, arr in project_all(make_vector_mode("azimuthal", GridSpec(n=n))).items():
         write_pgm(tmp_path / "i.pgm", arr)
-        assert (tmp_path / "i.pgm").read_text() == _pgm_oracle(arr), lab
+        _assert_p5_matches_oracle(tmp_path / "i.pgm", arr)
     rect = np.random.default_rng(n).random((n, n + 5))
     write_pgm(tmp_path / "r.pgm", rect)
-    assert (tmp_path / "r.pgm").read_text() == _pgm_oracle(rect)
+    _assert_p5_matches_oracle(tmp_path / "r.pgm", rect)
 
 
 def test_all_zero_pgm_matches_oracle(tmp_path):
     arr = np.zeros((48, 67))
     write_pgm(tmp_path / "z.pgm", arr)
-    assert (tmp_path / "z.pgm").read_text() == _pgm_oracle(arr)
+    _assert_p5_matches_oracle(tmp_path / "z.pgm", arr)
+
+
+# -- the Stokes writers against the whole-payload calls they replaced --------
+
+_ABERR = ["--random-aberration", "--seed", "11", "--length", "30"]
+
+
+@pytest.fixture
+def planted_stokes(monkeypatch):
+    """The CLI's Stokes maps, with a negative zero planted if none occurs."""
+    got = []
+
+    def capture(intensities):
+        stokes = reconstruct_stokes(intensities)
+        if not np.any((stokes.s1 == 0) & np.signbit(stokes.s1)):
+            stokes.s1[0, 0] = -0.0
+        got.append(stokes)
+        return stokes
+
+    monkeypatch.setattr(uwqkd.cli, "reconstruct_stokes", capture)
+    return got
+
+
+@pytest.mark.parametrize("n", [48, 67])
+def test_stokes_json_matches_whole_payload_dumps(n, planted_stokes, tmp_path):
+    assert main(["tomography", "--kind", "vortex_cw", "--n", str(n), "--format", "json", *_ABERR,
+                 "--out", str(tmp_path / "t")]) == 0
+    (stokes,) = planted_stokes
+    payload = {
+        "kind": "vortex_cw",
+        "n": n,
+        "extent_waists": GridSpec(n=n).extent_waists,
+        "aberration": AberrationSpec.random(11, 30.0, 0.05).coefficients(),
+        "s1": stokes.s1.tolist(),
+        "s2": stokes.s2.tolist(),
+        "s3": stokes.s3.tolist(),
+        "intensity": stokes.intensity.tolist(),
+        "valid": stokes.valid.astype(int).tolist(),
+    }
+    text = (tmp_path / "t_stokes.json").read_text()
+    assert text == json.dumps(payload) + "\n"
+    assert "-0.0" in text
+
+
+def test_stokes_csv_matches_savetxt(planted_stokes, tmp_path):
+    # 33 * 33 rows: not a multiple of any power of two
+    grid = GridSpec(n=33)
+    assert main(["tomography", "--kind", "radial", "--n", "33", *_ABERR,
+                 "--out", str(tmp_path / "t")]) == 0
+    (stokes,) = planted_stokes
+    cols = (*grid.axes(), stokes.intensity, stokes.s1, stokes.s2, stokes.s3, stokes.valid)
+    np.savetxt(tmp_path / "want.csv", np.column_stack([c.ravel() for c in cols]),
+               fmt=["%.9g"] * 6 + ["%d"], delimiter=",", header="x,y,intensity,s1,s2,s3,valid",
+               comments="")
+    got = (tmp_path / "t_stokes.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert b",-0," in got
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
