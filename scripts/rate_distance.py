@@ -32,7 +32,7 @@ def main(argv=None):
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["length_m", "k_per_pulse", "bps_1ghz", "mu_opt", "nu_opt"])
-        for pt in curve.points:
+        for pt in curve:
             w.writerow(
                 [
                     f"{pt.length_m:.9g}",
@@ -42,7 +42,7 @@ def main(argv=None):
                     f"{pt.nu_opt:.9g}",
                 ]
             )
-    print(f"wrote {len(curve.points)} points to {args.out}")
+    print(f"wrote {len(curve)} points to {args.out}")
 
     d_sep = max_secure_distance(p)
     d_inc = max_secure_distance(ChannelParams(e_det=0.0, bob_includes_detector=True))

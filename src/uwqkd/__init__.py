@@ -3,7 +3,7 @@ underwater optical channels."""
 
 from .channel import ChannelParams, GainStats
 from .decoy import DecoyEstimate, KeyRateResult, evaluate_key_rate
-from .optimize import OptimizerConfig, RateCurve, distance_sweep, max_secure_distance, optimize_mu_nu
+from .optimize import OptimizerConfig, distance_sweep, max_secure_distance, optimize_mu_nu
 from .qstate import PolLabel, SpinOrbitState
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "KeyRateResult",
     "evaluate_key_rate",
     "OptimizerConfig",
-    "RateCurve",
     "distance_sweep",
     "max_secure_distance",
     "optimize_mu_nu",

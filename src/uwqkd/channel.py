@@ -105,22 +105,10 @@ def _gain_qber(mu, eta, y0, e_det):
     return q, e, s, d
 
 
-def qber_model(mu: float, eta: float, y0: float, e_det: float) -> float:
-    """Modeled QBER: misaligned signal clicks plus unpolarized dark counts."""
-    if not all(map(math.isfinite, (mu, eta, y0, e_det))):
-        raise ValueError(f"non-finite input: mu={mu}, eta={eta}, y0={y0}, e_det={e_det}")
-    if mu < 0:
-        raise ValueError("mean photon number must be >= 0")
-    q, e, _, _ = _gain_qber(mu, eta, y0, e_det)
-    if q == 0.0:
-        raise ZeroGainError()
-    return float(e)
-
-
 def gain_stats(p: ChannelParams, mu: float, nu: float) -> GainStats:
     """Signal/decoy gain and QBER record for one channel configuration."""
-    if not 0 <= nu < mu:
-        raise ValueError(f"invalid decoy ordering: need 0 <= nu < mu, got mu={mu}, nu={nu}")
+    if not 0 <= nu < mu < math.inf:
+        raise ValueError(f"invalid decoy ordering: need 0 <= nu < mu < inf, got mu={mu}, nu={nu}")
     y0 = background_yield(p)
     q, e, _, _ = _gain_qber(np.array([mu, nu]), transmittance(p), y0, p.e_det)
     if q[1] == 0.0:

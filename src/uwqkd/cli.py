@@ -21,7 +21,7 @@ import numpy as np
 
 from . import decoy, montecarlo
 from .config import load_config
-from .optimize import DeadChannelError, RateCurve, distance_sweep, max_secure_distance, optimize_mu_nu
+from .optimize import DeadChannelError, RatePoint, distance_sweep, max_secure_distance, optimize_mu_nu
 from .qstate import PolLabel
 from .tomography import (
     AberrationSpec,
@@ -86,9 +86,9 @@ def _cmd_keyrate(args) -> int:
     return 0
 
 
-def _curve_csv(curve: RateCurve) -> str:
+def _curve_csv(curve: tuple[RatePoint, ...]) -> str:
     lines = ["length_m,k_per_pulse,mu_opt,nu_opt,flags"]
-    for pt in curve.points:
+    for pt in curve:
         flags = ";".join(pt.flags)
         lines.append(
             f"{pt.length_m:.9g},{pt.k_per_pulse:.9g},{pt.mu_opt:.9g},{pt.nu_opt:.9g},{flags}"
@@ -112,7 +112,7 @@ def _cmd_sweep(args) -> int:
         lengths = [args.l_min]
     curve = distance_sweep(cfg.channel, lengths, cfg.optimizer)
     if args.format == "json":
-        _emit(json.dumps([asdict(pt) for pt in curve.points], indent=2) + "\n", args.out)
+        _emit(json.dumps([asdict(pt) for pt in curve], indent=2) + "\n", args.out)
     else:
         _emit(_curve_csv(curve), args.out)
     return 0

@@ -1,30 +1,14 @@
-"""Run configuration: flat JSON file mapped onto the parameter records."""
+"""Run configuration: a flat JSON file whose keys and value types are the records' fields."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .channel import ChannelParams
 from .optimize import OptimizerConfig
-
-_CHANNEL_KEYS = (
-    "alpha_db_per_m",
-    "length_m",
-    "eta_detector",
-    "eta_bob",
-    "dark_rate_hz",
-    "pulse_rate_hz",
-    "detection_window_s",
-    "e_det",
-    "f_ec",
-    "bob_includes_detector",
-)
-
-_OPTIMIZER_KEYS = ("nu_min", "coarse_grid", "refine_iterations", "mu_max")
-_INT_KEYS = ("coarse_grid", "refine_iterations")
 
 
 @dataclass(frozen=True)
@@ -38,45 +22,45 @@ class RunConfig:
             raise ValueError(f"modulation_rate_hz must be finite and > 0, got {self.modulation_rate_hz}")
 
 
+# field annotation -> (accepted JSON value types, how the error names them)
+_KINDS = {
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float, type(None)), "a number"),
+    "int": ((int,), "an integer"),
+    "bool": ((bool,), "true or false"),
+}
+
+_RECORDS = (ChannelParams, OptimizerConfig, RunConfig)
+# every field is a key, except RunConfig's two that hold the other records
+_KEY_TYPES = {f.name: f.type for r in _RECORDS for f in fields(r) if f.name not in ("channel", "optimizer")}
+
+
 def _check_type(key: str, value) -> None:
     """Reject a JSON value of the wrong type before it reaches the records."""
-    if key == "bob_includes_detector":
-        ok, kind = isinstance(value, bool), "true or false"
-    else:
-        kind, types = ("an integer", int) if key in _INT_KEYS else ("a number", (int, float))
-        ok = isinstance(value, types) and not isinstance(value, bool)
-        ok = ok or (key == "detection_window_s" and value is None)
-    if not ok:
+    types, kind = _KINDS[_KEY_TYPES[key]]
+    # JSON true/false are Python bools, which are also ints
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    known = set(_CHANNEL_KEYS) | set(_OPTIMIZER_KEYS) | {"modulation_rate_hz"}
-    unknown = set(d) - known
+    unknown = set(d) - set(_KEY_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in d.items():
         _check_type(key, value)
-    channel = ChannelParams(**{k: d[k] for k in _CHANNEL_KEYS if k in d})
-    optimizer = OptimizerConfig(**{k: d[k] for k in _OPTIMIZER_KEYS if k in d})
-    return RunConfig(
-        channel=channel,
-        optimizer=optimizer,
-        modulation_rate_hz=float(d.get("modulation_rate_hz", 1e8)),
-    )
+    channel, optimizer, run = ({f.name: d[f.name] for f in fields(r) if f.name in d} for r in _RECORDS)
+    return RunConfig(ChannelParams(**channel), OptimizerConfig(**optimizer), **run)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    d = {k: getattr(cfg.channel, k) for k in _CHANNEL_KEYS}
-    d.update({k: getattr(cfg.optimizer, k) for k in _OPTIMIZER_KEYS})
-    d["modulation_rate_hz"] = cfg.modulation_rate_hz
-    return d
+    return {**asdict(cfg.channel), **asdict(cfg.optimizer), "modulation_rate_hz": cfg.modulation_rate_hz}
 
 
 def load_config(path: str | Path | None) -> RunConfig:
     """Load a flat JSON config; a missing path gives the flume defaults."""
     if path is None:
-        return RunConfig(channel=ChannelParams(), optimizer=OptimizerConfig())
+        return config_from_dict({})
     with open(path) as fh:
         return config_from_dict(json.load(fh))
 

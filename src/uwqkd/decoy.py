@@ -7,14 +7,15 @@ Implements the asymptotic single-decoy bounds on the single-photon gain
 
 with a constant error-correction inefficiency f.  All clamps (negative Q1,
 e1 outside [0, 1/2], negative K) set explicit flags instead of raising, so
-optimization sweeps can traverse vacuous parameter regions.
+optimization sweeps can traverse vacuous parameter regions.  A (mu, nu) at
+which the bounds are NaN or infinite raises a ``ValueError`` naming both.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,12 +84,13 @@ def _decoy_bounds(s_mu, s_nu, d_nu, mu, nu, y0):
     Returns ``(q1, e1, vacuous)``: Q1 clamped below at 0, e1 clamped into
     [0, 1/2] (1/2 where Q1 = 0), and where either clamp fired.
     """
-    exp_nu, exp_mu = np.exp(nu), np.exp(mu)
-    dark_nu = y0 * np.expm1(nu)
-    p1 = mu / exp_mu  # single-photon probability mu e^-mu
-    r = nu / mu
-    bracket = s_nu * exp_nu + dark_nu - r * r * (s_mu * exp_mu + y0 * np.expm1(mu))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # e^mu overflows above mu ~ 709.8 and r (mu - nu) can underflow; callers screen out the NaN/inf
+    with np.errstate(all="ignore"):
+        exp_nu, exp_mu = np.exp(nu), np.exp(mu)
+        dark_nu = y0 * np.expm1(nu)
+        p1 = mu / exp_mu  # single-photon probability mu e^-mu
+        r = nu / mu
+        bracket = s_nu * exp_nu + dark_nu - r * r * (s_mu * exp_mu + y0 * np.expm1(mu))
         q1 = np.maximum(0.0, p1 / (r * (mu - nu)) * bracket)
         e1_raw = (d_nu * exp_nu + 0.5 * dark_nu) * p1 / (q1 * nu)
     e1 = np.where(q1 > 0, np.minimum(0.5, np.maximum(0.0, e1_raw)), 0.5)
@@ -101,8 +103,17 @@ def _key_fraction(q_mu, e_mu, q1, e1, f_ec):
 
 
 def _check_ordering(mu: float, nu: float) -> None:
-    if not 0 < nu < mu:
-        raise ValueError(f"invalid decoy ordering: need 0 < nu < mu, got mu={mu}, nu={nu}")
+    if not 0 < nu < mu < math.inf:
+        raise ValueError(f"invalid decoy ordering: need 0 < nu < mu < inf, got mu={mu}, nu={nu}")
+
+
+def _check_finite(mu, nu, *values) -> None:
+    """Reject the first (mu, nu) point at which one of the values is NaN or infinite."""
+    for v in values:
+        if not np.isfinite(v).all():
+            i = np.flatnonzero(~np.isfinite(v))[0]
+            m, n = float(np.ravel(mu)[i]), float(np.ravel(nu)[i])
+            raise ValueError(f"decoy bounds are not finite at mu={m}, nu={n}")
 
 
 def estimate_single_photon(stats: GainStats, mu: float, nu: float) -> DecoyEstimate:
@@ -112,6 +123,7 @@ def estimate_single_photon(stats: GainStats, mu: float, nu: float) -> DecoyEstim
     q1, e1, vacuous = _decoy_bounds(
         stats.q_mu - y0, stats.q_nu - y0, stats.e_nu * stats.q_nu - 0.5 * y0, mu, nu, y0
     )
+    _check_finite(mu, nu, q1, e1)
     return DecoyEstimate(q1_lower=float(q1), e1_upper=float(e1), vacuous=bool(vacuous))
 
 
@@ -126,28 +138,6 @@ def _result(k, mu, nu, components, vacuous) -> KeyRateResult:
         components={name: float(v) for name, v in components.items()},
         flags=flags,
     )
-
-
-def decoy_key_rate(
-    stats: GainStats,
-    est: DecoyEstimate,
-    f_ec: float,
-    mu: float = float("nan"),
-    nu: float = float("nan"),
-    e_mu_override: float | None = None,
-) -> KeyRateResult:
-    """Secret key fraction per pulse for the decoy protocol.
-
-    An ``e_mu_override`` replaces the modeled signal QBER in the
-    error-correction term (used for measured QBER points); the single-photon
-    bounds are taken from ``est`` unchanged.
-    """
-    e_mu = stats.e_mu if e_mu_override is None else e_mu_override
-    _check_error_rate(e_mu)
-    _check_error_rate(est.e1_upper)
-    k = _key_fraction(stats.q_mu, e_mu, est.q1_lower, est.e1_upper, f_ec)
-    components = {**asdict(stats), "e_mu": e_mu, "q1_lower": est.q1_lower, "e1_upper": est.e1_upper}
-    return _result(k, mu, nu, components, est.vacuous)
 
 
 def _key_rate_arrays(eta, y0, e_det, f_ec, qber, mu, nu):
@@ -210,6 +200,8 @@ def evaluate_key_rate(
     k, components, vacuous = _key_rate_arrays(*_channel_columns(ps, qber), mu, nu)
     if np.any(components["q_nu"] == 0.0):
         raise ZeroGainError()
+    # with Q_nu > 0 the gains and QBERs are finite, and a NaN or inf Q1 or e1 makes K one too
+    _check_finite(mu, nu, k)
     results = [
         _result(k[i], float(mu[i]), float(nu[i]), {n: v[i] for n, v in components.items()}, vacuous[i])
         for i in range(len(k))

@@ -27,6 +27,7 @@ from .channel import ChannelParams, _gain_qber, background_yield, transmittance
 
 BLOCK_SIZE = 2**16
 _MAX_THREADS = 4
+_BAND_SE = 4.0  # half-width of within_model_band's band, in standard errors
 
 
 @dataclass(frozen=True)
@@ -134,8 +135,8 @@ def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> S
     )
 
 
-def within_model_band(stats: SessionStats, p: ChannelParams, mu: float, n_se: float = 4.0) -> bool:
-    """True when the analytic gain/QBER lie inside the n_se-sigma band.
+def within_model_band(stats: SessionStats, p: ChannelParams, mu: float) -> bool:
+    """True when the analytic gain/QBER lie within ``_BAND_SE`` standard errors.
 
     The standard error is floored at the model-based binomial SE so that
     channels with near-zero observed error counts do not degenerate the
@@ -143,9 +144,9 @@ def within_model_band(stats: SessionStats, p: ChannelParams, mu: float, n_se: fl
     """
     q_model, e_model, _, _ = _gain_qber(mu, transmittance(p), background_yield(p), p.e_det)
     q_se = max(stats.q_se, math.sqrt(q_model * (1 - q_model) / stats.pulses_sent))
-    ok = abs(stats.q_hat - q_model) <= n_se * q_se
+    ok = abs(stats.q_hat - q_model) <= _BAND_SE * q_se
     if stats.sifted > 0 and stats.e_hat is not None:
         e_se = max(stats.e_se or 0.0, math.sqrt(e_model * (1 - e_model) / stats.sifted))
-        ok = ok and abs(stats.e_hat - e_model) <= n_se * e_se + 1.0 / stats.sifted
+        ok = ok and abs(stats.e_hat - e_model) <= _BAND_SE * e_se + 1.0 / stats.sifted
     return ok
 

@@ -61,21 +61,12 @@ class RatePoint:
     flags: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RateCurve:
-    points: tuple[RatePoint, ...]
-
-    def __post_init__(self):
-        lengths = [pt.length_m for pt in self.points]
-        if any(b <= a for a, b in zip(lengths, lengths[1:])):
-            raise ValueError("curve lengths must be strictly increasing")
-
-
 def _k_grid(cols: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """Key rate of channel columns (see ``_channel_columns``, reshaped to
-    broadcast) on (mu, nu) arrays; invalid points -> -inf."""
+    broadcast) on (mu, nu) arrays; invalid points and non-finite K -> -inf,
+    so that ``np.argmax`` never picks a NaN."""
     k, components, _ = _key_rate_arrays(*cols, mu, nu)
-    return np.where((nu < mu) & (components["q_mu"] > 0), k, -np.inf)
+    return np.where((nu < mu) & (components["q_mu"] > 0) & np.isfinite(k), k, -np.inf)
 
 
 def _axes(cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -133,25 +124,17 @@ def optimize_mu_nu(
     return results[0] if single else results
 
 
-def distance_sweep(
-    p: ChannelParams,
-    lengths,
-    cfg: OptimizerConfig | None = None,
-    qber_overrides: dict[float, float] | None = None,
-) -> RateCurve:
+def distance_sweep(p: ChannelParams, lengths, cfg: OptimizerConfig | None = None) -> tuple[RatePoint, ...]:
     """Optimized key rate at each channel length, in ascending length order."""
     lengths = [float(x) for x in lengths]
     if not lengths:
         raise ValueError("length sequence must be non-empty")
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ValueError("lengths must be strictly increasing")
-    overrides = [qber_overrides.get(x) if qber_overrides else None for x in lengths]
-    results = optimize_mu_nu([p.at_length(x) for x in lengths], cfg, qber_override=overrides)
-    return RateCurve(
-        tuple(
-            RatePoint(length_m=x, k_per_pulse=r.k_per_pulse, mu_opt=r.mu, nu_opt=r.nu, flags=r.flags)
-            for x, r in zip(lengths, results)
-        )
+    results = optimize_mu_nu([p.at_length(x) for x in lengths], cfg)
+    return tuple(
+        RatePoint(length_m=x, k_per_pulse=r.k_per_pulse, mu_opt=r.mu, nu_opt=r.nu, flags=r.flags)
+        for x, r in zip(lengths, results)
     )
 
 

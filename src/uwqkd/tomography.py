@@ -1,11 +1,12 @@
 """Spatial vector vortex fields, phase aberrations, and Stokes tomography.
 
-Fields live on a square grid as per-pixel Jones vectors (H and V
-components).  Vector vortex modes are Laguerre-Gauss l = +/-1, p = 0
-envelopes on the circular polarization components.  Turbulence is a single
-receiver-plane phase screen built from low-order Zernike terms (tip, tilt,
-both astigmatisms, defocus); the screen is common to both polarization
-components, so it never changes the local polarization, only the phase.
+Fields live on a square grid, in units of the beam waist, as per-pixel
+Jones vectors (H and V components).  Vector vortex modes are Laguerre-Gauss
+l = +/-1, p = 0 envelopes on the circular polarization components.
+Turbulence is a single receiver-plane phase screen built from low-order
+Zernike terms (tip, tilt, both astigmatisms, defocus); the screen is common
+to both polarization components, so it never changes the local
+polarization, only the phase.
 
 Stokes sign conventions match the state algebra in :mod:`uwqkd.qstate`:
 s1 = +1 for H, s2 = +1 for D = (H+V)/sqrt(2), s3 = +1 for L.
@@ -36,23 +37,22 @@ _JONES_R = np.array([1.0, -1j]) / math.sqrt(2)
 
 MODE_KINDS = ("radial", "azimuthal", "vortex_cw", "vortex_ccw")
 
+_VALID_FRACTION = 1e-3  # Stokes pixels need more than this fraction of the peak intensity
+
 
 @dataclass(frozen=True)
 class GridSpec:
     n: int = 256
     extent_waists: float = 8.0
-    waist: float = 1.0
 
     def __post_init__(self):
         if self.n < 32:
             raise ValueError("grid must be at least 32x32")
         if not (math.isfinite(self.extent_waists) and self.extent_waists >= 4):
             raise ValueError(f"extent_waists must be finite and >= 4, got {self.extent_waists!r}")
-        if not (math.isfinite(self.waist) and self.waist > 0):
-            raise ValueError(f"waist must be finite and > 0, got {self.waist!r}")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        half = self.extent_waists * self.waist / 2
+        half = self.extent_waists / 2
         x = np.linspace(-half, half, self.n)
         return np.meshgrid(x, x, indexing="xy")
 
@@ -121,9 +121,9 @@ def _polar(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.hypot(x, y), np.arctan2(y, x)
 
 
-def _lg_envelope(r: np.ndarray, phi: np.ndarray, w: float, ell: int) -> np.ndarray:
-    """Laguerre-Gauss p = 0 amplitude with azimuthal index ell (unnormalized)."""
-    return (r * math.sqrt(2) / w) ** abs(ell) * np.exp(-(r**2) / w**2) * np.exp(1j * ell * phi)
+def _lg_envelope(r: np.ndarray, phi: np.ndarray, ell: int) -> np.ndarray:
+    """Laguerre-Gauss p = 0 amplitude with azimuthal index ell (unnormalized, unit waist)."""
+    return (r * math.sqrt(2)) ** abs(ell) * np.exp(-(r**2)) * np.exp(1j * ell * phi)
 
 
 def _normalize(eh: np.ndarray, ev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +161,7 @@ def make_spin_orbit_field(
         if pol not in ("L", "R"):
             raise ValueError(f"polarization label must be 'L' or 'R', got {pol!r}")
         jones = _JONES_L if pol == "L" else _JONES_R
-        env = _lg_envelope(r, phi, grid.waist, ell)
+        env = _lg_envelope(r, phi, ell)
         eh += a * env * jones[0]
         ev += a * env * jones[1]
     eh, ev = _normalize(eh, ev)
@@ -171,7 +171,7 @@ def make_spin_orbit_field(
 def zernike_phase(grid: GridSpec, spec: AberrationSpec) -> np.ndarray:
     """Phase screen sum_j c_j Z_j(rho, theta), rho normalized to the half-extent."""
     r, theta = _polar(grid)
-    rho = r / (grid.extent_waists * grid.waist / 2)
+    rho = r / (grid.extent_waists / 2)
     tip, tilt, a_obl, a_ver, defoc = spec.coefficients()
     return (
         tip * 2 * rho * np.cos(theta)
@@ -200,13 +200,11 @@ def project_all(f: VectorField) -> dict[PolLabel, np.ndarray]:
     return {lab: project_intensity(f, lab) for lab in PolLabel}
 
 
-def reconstruct_stokes(
-    intensities: dict[PolLabel, np.ndarray], valid_threshold: float = 1e-3
-) -> StokesField:
+def reconstruct_stokes(intensities: dict[PolLabel, np.ndarray]) -> StokesField:
     """Pixelwise reduced Stokes parameters from the six analyzer intensities.
 
-    Pixels with total intensity below valid_threshold x peak are marked
-    invalid and their Stokes entries zeroed.
+    Pixels with total intensity at or below ``_VALID_FRACTION`` x peak are
+    marked invalid and their Stokes entries zeroed.
     """
     grids = {PolLabel(k): np.asarray(v, dtype=float) for k, v in intensities.items()}
     missing = [lab for lab in PolLabel if lab not in grids]
@@ -216,7 +214,7 @@ def reconstruct_stokes(
     if any(g.shape != shape for g in grids.values()):
         raise ValueError("intensity grids must share one shape")
     i_tot = grids[PolLabel.H] + grids[PolLabel.V]
-    valid = i_tot > valid_threshold * float(i_tot.max())
+    valid = i_tot > _VALID_FRACTION * float(i_tot.max())
     safe = np.where(valid, i_tot, 1.0)
     s1 = np.where(valid, (grids[PolLabel.H] - grids[PolLabel.V]) / safe, 0.0)
     safe_da = np.where(valid, grids[PolLabel.D] + grids[PolLabel.A], 1.0)

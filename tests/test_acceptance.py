@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from uwqkd.channel import ChannelParams, GainStats, _gain_qber, qber_model
+from uwqkd.channel import ChannelParams, GainStats, _gain_qber
 from uwqkd.decoy import estimate_single_photon, sifted_key_fraction
 from uwqkd.montecarlo import simulate_session, within_model_band
 from uwqkd.optimize import distance_sweep, max_secure_distance, optimize_mu_nu
@@ -109,13 +109,13 @@ class TestCriterion4RateCurveShape:
         t0 = time.perf_counter()
         lengths = list(np.arange(0.0, 90.5, 1.0))
         curve = distance_sweep(dark_only_params, lengths)
-        ks = [pt.k_per_pulse for pt in curve.points]
+        ks = [pt.k_per_pulse for pt in curve]
         monotone = all(b <= a + 1e-15 for a, b in zip(ks, ks[1:]))
         positives = [k > 0 for k in ks]
         cutoff_idx = positives.index(False) if False in positives else len(ks)
         contiguous = all(positives[:cutoff_idx]) and not any(positives[cutoff_idx:])
         flagged = all(
-            "no_positive_key" in pt.flags for pt in curve.points[cutoff_idx:]
+            "no_positive_key" in pt.flags for pt in curve[cutoff_idx:]
         )
         below = True
         for length, qber in self.MEASURED.items():
@@ -148,7 +148,7 @@ class TestCriterion5BoundValidity:
             if not 0 < nu < mu:
                 continue
             q_mu, q_nu = (float(_gain_qber(x, eta, y0, e_det)[0]) for x in (mu, nu))
-            e_mu, e_nu = qber_model(mu, eta, y0, e_det), qber_model(nu, eta, y0, e_det)
+            e_mu, e_nu = (float(_gain_qber(x, eta, y0, e_det)[1]) for x in (mu, nu))
             est = estimate_single_photon(GainStats(q_mu, e_mu, q_nu, e_nu, y0), mu, nu)
             if est.q1_lower > q1_true(mu, eta, y0) + 1e-12:
                 violations += 1

@@ -8,7 +8,6 @@ from uwqkd.channel import (
     _gain_qber,
     background_yield,
     gain_stats,
-    qber_model,
     transmittance,
 )
 
@@ -17,6 +16,10 @@ from conftest import fock_gain, fock_yield
 
 def gain(mu, eta, y0):
     return float(_gain_qber(mu, eta, y0, 0.0)[0])
+
+
+def qber(mu, eta, y0, e_det):
+    return float(_gain_qber(mu, eta, y0, e_det)[1])
 
 
 class TestParams:
@@ -145,25 +148,19 @@ class TestGainModel:
 
 class TestQberModel:
     def test_no_background_gives_e_det(self):
-        assert qber_model(0.5, 0.1, 0.0, 0.01) == pytest.approx(0.01)
+        assert qber(0.5, 0.1, 0.0, 0.01) == pytest.approx(0.01)
 
     def test_dark_dominated_limit(self):
-        assert qber_model(1e-12, 0.1, 1e-5, 0.01) == pytest.approx(0.5, abs=1e-6)
+        assert qber(1e-12, 0.1, 1e-5, 0.01) == pytest.approx(0.5, abs=1e-6)
 
     def test_example_value(self):
         expected = (0.5e-5 + 0.01 * (1 - math.exp(-0.05))) / gain(0.5, 0.1, 1e-5)
-        assert qber_model(0.5, 0.1, 1e-5, 0.01) == pytest.approx(expected, rel=1e-12)
+        assert qber(0.5, 0.1, 1e-5, 0.01) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_gain_rejected(self):
+        # no dark counts and a vacuum decoy: the decoy's QBER is undefined
         with pytest.raises(ValueError):
-            qber_model(0.0, 0.1, 0.0, 0.01)
-
-    @pytest.mark.parametrize(
-        "args", [(0.5, math.nan, 0.0, 0.01), (math.inf, 0.1, 0.0, 0.01), (0.5, 0.1, math.nan, 0.01)]
-    )
-    def test_non_finite_rejected(self, args):
-        with pytest.raises(ValueError, match="non-finite"):
-            qber_model(*args)
+            gain_stats(ChannelParams(dark_rate_hz=0.0), 0.5, 0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -173,7 +170,7 @@ class TestQberModel:
         e_det=st.floats(0, 0.1),
     )
     def test_range(self, mu, eta, y0, e_det):
-        e = qber_model(mu, eta, y0, e_det)
+        e = qber(mu, eta, y0, e_det)
         assert min(e_det, 0.5) <= e + 1e-15
         assert e <= 0.5
 

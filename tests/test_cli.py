@@ -1,11 +1,13 @@
 import importlib
 import json
+from dataclasses import fields
 
 import pytest
 
 from uwqkd.channel import ChannelParams
 from uwqkd.cli import build_parser, main
 from uwqkd.config import (
+    _KINDS,
     RunConfig,
     config_from_dict,
     config_to_dict,
@@ -25,6 +27,26 @@ def config_file(tmp_path):
     path = tmp_path / "config.json"
     save_config(cfg, path)
     return str(path)
+
+
+# a value of the wrong JSON type for each of the 15 config keys
+WRONG_TYPE = [
+    ('{"alpha_db_per_m": "0.57"}', "alpha_db_per_m"),
+    ('{"length_m": true}', "length_m"),
+    ('{"eta_detector": null}', "eta_detector"),
+    ('{"eta_bob": [0.188]}', "eta_bob"),
+    ('{"dark_rate_hz": {}}', "dark_rate_hz"),
+    ('{"pulse_rate_hz": "1e9"}', "pulse_rate_hz"),
+    ('{"detection_window_s": false}', "detection_window_s"),
+    ('{"e_det": "0.01"}', "e_det"),
+    ('{"f_ec": true}', "f_ec"),
+    ('{"bob_includes_detector": 1}', "bob_includes_detector"),
+    ('{"mu_max": null}', "mu_max"),
+    ('{"nu_min": "1e-4"}', "nu_min"),
+    ('{"coarse_grid": 24.5}', "coarse_grid"),
+    ('{"refine_iterations": true}', "refine_iterations"),
+    ('{"modulation_rate_hz": "1e8"}', "modulation_rate_hz"),
+]
 
 
 class TestConfig:
@@ -57,15 +79,22 @@ class TestConfig:
     def test_defaults_without_file(self):
         cfg = load_config(None)
         assert cfg.channel.alpha_db_per_m == 0.57
+        assert cfg == config_from_dict({})
+
+    def test_record_fields_are_schema_kinds(self):
+        # the loader maps exactly these annotations onto JSON types
+        annotations = {f.name: f.type for r in (ChannelParams, OptimizerConfig) for f in fields(r)}
+        annotations["modulation_rate_hz"] = RunConfig.__dataclass_fields__["modulation_rate_hz"].type
+        assert set(annotations.values()) <= set(_KINDS)
+        assert sorted(annotations) == sorted(config_to_dict(load_config(None)))
+        assert len(annotations) == 15
+        # test_bad_value_exits_1 gives every key a value of the wrong type
+        assert {key for _, key in WRONG_TYPE} == set(annotations)
 
     @pytest.mark.parametrize(
         "text,key",
-        [
-            ('{"e_det": "0.01"}', "e_det"),
+        WRONG_TYPE + [
             ('{"coarse_grid": null}', "coarse_grid"),
-            ('{"coarse_grid": 24.5}', "coarse_grid"),
-            ('{"f_ec": true}', "f_ec"),
-            ('{"bob_includes_detector": 1}', "bob_includes_detector"),
             ('{"alpha_db_per_m": NaN}', "alpha_db_per_m"),
             ('{"modulation_rate_hz": -5}', "modulation_rate_hz"),
             ('{"modulation_rate_hz": NaN}', "modulation_rate_hz"),

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uwqkd.channel import ChannelParams, GainStats, _gain_qber, qber_model
+from uwqkd.channel import ChannelParams, GainStats, _gain_qber
 from uwqkd.cli import _result_payload
 from uwqkd.decoy import (
     FLAG_NO_POSITIVE_KEY,
     FLAG_VACUOUS,
     DecoyEstimate,
+    _key_fraction,
+    _result,
     binary_entropy,
-    decoy_key_rate,
     estimate_single_photon,
     evaluate_key_rate,
     sifted_key_fraction,
@@ -22,6 +23,16 @@ from conftest import e1_true, fock_gain, fock_qber, poisson_pn, q1_true
 
 def gain(mu, eta, y0):
     return float(_gain_qber(mu, eta, y0, 0.0)[0])
+
+
+def qber(mu, eta, y0, e_det):
+    return float(_gain_qber(mu, eta, y0, e_det)[1])
+
+
+def key_rate(stats, est, f_ec):
+    """K for hand-built gains and bounds, through the kernel's key fraction."""
+    k = _key_fraction(stats.q_mu, stats.e_mu, est.q1_lower, est.e1_upper, f_ec)
+    return _result(k, math.nan, math.nan, {}, est.vacuous)
 
 
 class TestBinaryEntropy:
@@ -148,9 +159,9 @@ class TestE1Bound:
         eta, y0, mu, nu, e_det = 0.1, 1e-5, 0.5, 0.1, 0.01
         stats = GainStats(
             gain(mu, eta, y0),
-            qber_model(mu, eta, y0, e_det),
+            qber(mu, eta, y0, e_det),
             gain(nu, eta, y0),
-            qber_model(nu, eta, y0, e_det),
+            qber(nu, eta, y0, e_det),
             y0,
         )
         bound = estimate_single_photon(stats, mu, nu).e1_upper
@@ -178,8 +189,8 @@ class TestBoundValidityRandomized:
             e_det = rng.uniform(0, 0.1)
             mu = rng.uniform(0.05, 1.0)
             nu = rng.uniform(1e-4, mu * 0.999)
-            stats = GainStats(gain(mu, eta, y0), qber_model(mu, eta, y0, e_det),
-                              gain(nu, eta, y0), qber_model(nu, eta, y0, e_det), y0)
+            stats = GainStats(gain(mu, eta, y0), qber(mu, eta, y0, e_det),
+                              gain(nu, eta, y0), qber(nu, eta, y0, e_det), y0)
             est = estimate_single_photon(stats, mu, nu)
             assert est.q1_lower <= q1_true(mu, eta, y0) + 1e-12
             if est.q1_lower > 0:
@@ -199,14 +210,14 @@ class TestKeyRate:
     def test_all_single_photon_perfect(self):
         stats = GainStats(q_mu=0.3, e_mu=0.0, q_nu=0.1, e_nu=0.0, y0=0.0)
         est = DecoyEstimate(q1_lower=0.3, e1_upper=0.0)
-        res = decoy_key_rate(stats, est, f_ec=1.22)
+        res = key_rate(stats, est, f_ec=1.22)
         assert res.k_per_pulse == pytest.approx(0.15)
         assert not res.no_positive_key
 
     def test_saturated_e1_gives_zero(self):
         stats = GainStats(q_mu=0.3, e_mu=0.01, q_nu=0.1, e_nu=0.02, y0=1e-5)
         est = DecoyEstimate(q1_lower=0.2, e1_upper=0.5)
-        res = decoy_key_rate(stats, est, f_ec=1.22)
+        res = key_rate(stats, est, f_ec=1.22)
         assert res.k_per_pulse == 0.0
         assert FLAG_NO_POSITIVE_KEY in res.flags
 
@@ -262,7 +273,7 @@ class TestKeyRate:
     e_det=st.floats(0, 0.05),
 )
 def test_model_qber_matches_fock_oracle(mu, eta, y0, e_det):
-    assert qber_model(mu, eta, y0, e_det) == pytest.approx(
+    assert qber(mu, eta, y0, e_det) == pytest.approx(
         fock_qber(mu, eta, y0, e_det), abs=1e-9
     )
 

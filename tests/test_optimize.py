@@ -11,8 +11,6 @@ from uwqkd.decoy import FLAG_NO_POSITIVE_KEY, evaluate_key_rate
 from uwqkd.optimize import (
     DeadChannelError,
     OptimizerConfig,
-    RateCurve,
-    RatePoint,
     distance_sweep,
     max_secure_distance,
     optimize_mu_nu,
@@ -139,16 +137,15 @@ class TestBatch:
 
     def test_sweep_is_one_batch(self, flume_params):
         lengths = [0.0, 30.5, 95.0]
-        curve = distance_sweep(flume_params, lengths, qber_overrides={30.5: 0.01})
-        for pt, q in zip(curve.points, (None, 0.01, None)):
-            res = optimize_mu_nu(flume_params.at_length(pt.length_m), qber_override=q)
+        for pt in distance_sweep(flume_params, lengths):
+            res = optimize_mu_nu(flume_params.at_length(pt.length_m))
             assert (pt.k_per_pulse, pt.mu_opt, pt.nu_opt, pt.flags) == (res.k_per_pulse, res.mu, res.nu, res.flags)
 
     @pytest.mark.parametrize("name,params", [("default", {}), ("e_det_0", {"e_det": 0.0})])
     def test_not_below_golden_section(self, name, params):
         rows = GOLDEN[name]
         curve = distance_sweep(ChannelParams(**params), [r[0] for r in rows])
-        for pt, (length, k, flags) in zip(curve.points, rows):
+        for pt, (length, k, flags) in zip(curve, rows):
             assert list(pt.flags) == flags, length
             assert (pt.k_per_pulse > 0) == (k > 0), length
             assert pt.k_per_pulse >= k * (1 - 1e-12), length
@@ -157,21 +154,21 @@ class TestBatch:
 class TestDistanceSweep:
     def test_flume_lengths_decreasing(self, dark_only_params):
         curve = distance_sweep(dark_only_params, [0.5, 10.5, 20.5, 30.5], FAST)
-        ks = [pt.k_per_pulse for pt in curve.points]
+        ks = [pt.k_per_pulse for pt in curve]
         assert all(b < a for a, b in zip(ks, ks[1:]))
         assert all(k > 0 for k in ks)
 
     def test_single_length(self, dark_only_params):
         curve = distance_sweep(dark_only_params, [5.0], FAST)
-        assert len(curve.points) == 1
+        assert len(curve) == 1
 
     def test_zero_length_is_max(self, dark_only_params):
         curve = distance_sweep(dark_only_params, [0.0, 1.0, 2.0, 20.0], FAST)
-        assert curve.points[0].k_per_pulse == max(pt.k_per_pulse for pt in curve.points)
+        assert curve[0].k_per_pulse == max(pt.k_per_pulse for pt in curve)
 
     def test_monotone_non_increasing(self, dark_only_params):
         curve = distance_sweep(dark_only_params, list(np.arange(0, 60, 5.0)), FAST)
-        ks = [pt.k_per_pulse for pt in curve.points]
+        ks = [pt.k_per_pulse for pt in curve]
         assert all(b <= a + 1e-12 for a, b in zip(ks, ks[1:]))
 
     def test_empty_rejected(self, dark_only_params):
@@ -182,14 +179,10 @@ class TestDistanceSweep:
         with pytest.raises(ValueError):
             distance_sweep(dark_only_params, [2.0, 1.0])
 
-    def test_curve_invariant(self):
-        with pytest.raises(ValueError):
-            RateCurve(
-                (
-                    RatePoint(2.0, 0.1, 0.5, 0.1, ()),
-                    RatePoint(1.0, 0.2, 0.5, 0.1, ()),
-                )
-            )
+    def test_curve_invariant(self, dark_only_params):
+        # a repeated length is rejected too, so the points' lengths strictly increase
+        with pytest.raises(ValueError, match="strictly increasing"):
+            distance_sweep(dark_only_params, [1.0, 1.0])
 
 
 def reference_cutoff(p, cfg, l_max=200.0, tol_m=0.1):
