@@ -56,6 +56,9 @@ class ChannelParams:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0 < self.detection_window_s < math.inf:
             raise ValueError("detection_window_s must be finite and > 0")
+        if not self.dark_rate_hz * self.detection_window_s <= 1:  # Y0 is a probability
+            raise ValueError(f"background yield dark_rate_hz * detection_window_s must be <= 1, got "
+                             f"{self.dark_rate_hz} * {self.detection_window_s}")
         if not 0 <= self.e_det < 0.5:
             raise ValueError(f"e_det must be in [0,0.5), got {self.e_det}")
         if not 1 <= self.f_ec < math.inf:

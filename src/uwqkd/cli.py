@@ -11,6 +11,7 @@ Exit statuses: 0 success, 1 usage/validation error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -205,6 +206,7 @@ def _cmd_tomography(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; handlers look their callees up when they run
 def build_parser() -> _Parser:
     parser = _Parser(prog="uwqkd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -8,6 +8,7 @@ point, vectorized over the batch.  Ties break toward smaller mu.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -69,10 +70,18 @@ def _k_grid(cols: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     return np.where((nu < mu) & (components["q_mu"] > 0) & np.isfinite(k), k, -np.inf)
 
 
-def _axes(cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The log-uniform coarse-grid axes (mus, nus)."""
+@functools.lru_cache(maxsize=16)
+def _grid(cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The log-uniform coarse-grid axes (mus, nus) and, per zoom round, the factors
+    exp(half-width * _ZOOM) on mu and on nu; built once per config, read-only."""
     mus = np.geomspace(2 * cfg.nu_min, cfg.mu_max, cfg.coarse_grid)
-    return mus, np.geomspace(cfg.nu_min, cfg.mu_max * (1 - 1e-9), cfg.coarse_grid)
+    nus = np.geomspace(cfg.nu_min, cfg.mu_max * (1 - 1e-9), cfg.coarse_grid)
+    steps = np.log([mus[1] / mus[0], nus[1] / nus[0]])
+    halves = steps / 4.0 ** np.arange(3 * cfg.refine_iterations)[:, None]
+    zooms = tuple((np.exp(h[0] * _ZOOM), np.exp(h[1] * _ZOOM)) for h in halves)
+    for a in (mus, nus, *(f for z in zooms for f in z)):
+        a.flags.writeable = False
+    return mus, nus, zooms
 
 
 def _coarse_best(cols: np.ndarray, mus: np.ndarray, nus: np.ndarray):
@@ -104,15 +113,15 @@ def optimize_mu_nu(
     if not ps:
         return []
     cols = _channel_columns(ps, qber)
-    mus, nus = _axes(cfg)
+    mus, nus, zooms = _grid(cfg)
     best_k, mu, nu = _coarse_best(cols, mus, nus)
 
     live = np.flatnonzero(best_k > 0)
     c, m, v, kb = cols[:, live, None, None], mu[live], nu[live], best_k[live]
-    steps, at = np.log([mus[1] / mus[0], nus[1] / nus[0]]), np.arange(live.size)
-    for half in steps / 4.0 ** np.arange(3 * cfg.refine_iterations)[:, None]:
-        mz = np.clip(m[:, None] * np.exp(half[0] * _ZOOM), mus[0], mus[-1])
-        vz = np.clip(v[:, None] * np.exp(half[1] * _ZOOM), nus[0], nus[-1])
+    at = np.arange(live.size)
+    for zoom_mu, zoom_nu in zooms:
+        mz = np.clip(m[:, None] * zoom_mu, mus[0], mus[-1])
+        vz = np.clip(v[:, None] * zoom_nu, nus[0], nus[-1])
         kz = _k_grid(c, mz[:, :, None], vz[:, None, :]).reshape(live.size, _ZOOM.size**2)
         j = np.argmax(kz, axis=1)
         up = kz[at, j] >= kb  # so K never falls below the coarse best

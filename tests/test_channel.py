@@ -44,12 +44,18 @@ class TestParams:
             dict(length_m=math.inf),
             dict(pulse_rate_hz=0.0),
             dict(detection_window_s=math.inf),
+            dict(dark_rate_hz=3e9),  # Y0 = 3 at the default 1 ns window
         ],
     )
     def test_invalid_rejected(self, kwargs):
         (field,) = kwargs
         with pytest.raises(ValueError, match=field):
             ChannelParams(**kwargs)
+
+    def test_infinite_background_yield_rejected(self):
+        # the window 1 / pulse_rate_hz ~ 4.5e307 s makes Y0 overflow to inf
+        with pytest.raises(ValueError, match=r"dark_rate_hz \* detection_window_s must be <= 1"):
+            ChannelParams(pulse_rate_hz=2.2250738585072014e-308)
 
 
 class TestTransmittance:

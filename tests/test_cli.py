@@ -5,6 +5,7 @@ from dataclasses import fields
 import pytest
 
 from uwqkd.channel import ChannelParams
+import uwqkd.cli
 from uwqkd.cli import build_parser, main
 from uwqkd.config import (
     _KINDS,
@@ -100,6 +101,8 @@ class TestConfig:
             ('{"modulation_rate_hz": NaN}', "modulation_rate_hz"),
             ('{"mu_max": 1e-4}', "mu_max"),
             ('{"nu_min": 2.0}', "mu_max"),
+            ('{"dark_rate_hz": 3e9}', "detection_window_s"),
+            ('{"pulse_rate_hz": 2.2250738585072014e-308}', "dark_rate_hz"),
         ],
     )
     def test_bad_value_exits_1(self, text, key, tmp_path, capsys):
@@ -357,3 +360,40 @@ def test_handler_exception_exit_code(command, exc, rc, monkeypatch, tmp_path, ca
     monkeypatch.setattr(importlib.import_module(module), name, boom)
     assert main([*argv, "--out", str(tmp_path / "out")]) == rc
     assert "injected" in capsys.readouterr().err
+
+
+# a usage error, then each output-writing subcommand, all in one process
+PARSER_SEQUENCE = [
+    ["optimize", "--l-max", "x"],
+    ["optimize", "--max-distance"],
+    ["keyrate", "--mu", "0.5", "--nu", "0.1"],
+    ["sweep", "--l-min", "0", "--l-max", "2", "--step", "1"],
+    ["tomography", "--kind", "radial", "--n", "32"],
+]
+
+
+def _run_sequence(out_dir, capsys):
+    """Exit code and stderr of each argv in PARSER_SEQUENCE, and the bytes of every output file."""
+    out_dir.mkdir()
+    runs = []
+    for i, argv in enumerate(PARSER_SEQUENCE):
+        try:
+            rc = main([*argv, "--out", str(out_dir / str(i))])
+        except SystemExit as exc:
+            rc = exc.code
+        runs.append((rc, capsys.readouterr().err))
+    return runs, {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_cached_parser_leaks_no_state(tmp_path, monkeypatch, capsys):
+    assert build_parser() is build_parser()
+    cached = _run_sequence(tmp_path / "cached", capsys)
+    monkeypatch.setattr(uwqkd.cli, "build_parser", build_parser.__wrapped__)  # a new parser per call
+    fresh = _run_sequence(tmp_path / "fresh", capsys)
+    assert cached == fresh
+    runs, files = cached
+    assert [rc for rc, _ in runs] == [1, 0, 0, 0, 0]
+    assert "invalid float value: 'x'" in runs[0][1]
+    assert "max_secure_distance_m" in json.loads(files["1"])
+    assert "max_secure_distance_m" not in json.loads(files["2"])  # --max-distance did not carry over
+    assert {"3", "4_stokes.csv", "4_IH.pgm"} <= set(files)

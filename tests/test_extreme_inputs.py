@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uwqkd.channel import ChannelParams, ZeroGainError, gain_stats
 from uwqkd.config import config_from_dict, config_to_dict, load_config
@@ -123,6 +123,8 @@ arbitrary = st.dictionaries(st.sampled_from(KEYS), anything | st.none() | st.tex
 
 @settings(max_examples=200, deadline=None)
 @given(d=st.tuples(valid_extremes, arbitrary).map(lambda t: {**t[0], **t[1]}))
+# a subnormal pulse rate gives a ~4.5e307 s window and an infinite Y0
+@example(d={"alpha_db_per_m": 0.0, "pulse_rate_hz": 2.2250738585072014e-308})
 def test_config_is_rejected_or_gives_a_finite_optimum(d):
     try:
         cfg = config_from_dict(d)

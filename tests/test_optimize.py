@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from uwqkd.channel import ChannelParams
 from uwqkd.decoy import FLAG_NO_POSITIVE_KEY, evaluate_key_rate
 from uwqkd.optimize import (
+    _ZOOM,
     DeadChannelError,
     OptimizerConfig,
+    _grid,
     distance_sweep,
     max_secure_distance,
     optimize_mu_nu,
@@ -103,6 +106,37 @@ class TestOptimizeMuNu:
         res = optimize_mu_nu(dark_only_params.at_length(20.0), cfg)
         mus = np.geomspace(2e-4, 1.0, cfg.coarse_grid)
         assert res.mu in mus
+
+
+class TestGridCache:
+    def test_equal_configs_share_read_only_arrays(self):
+        a, b = _grid(OptimizerConfig(coarse_grid=20)), _grid(OptimizerConfig(coarse_grid=20))
+        assert a[0] is b[0] and a[1] is b[1] and a[2] is b[2]
+        for arr in (a[0], a[1], *a[2][0]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("change", [{"mu_max": 2.0}, {"nu_min": 1e-3}, {"coarse_grid": 33}])
+    def test_other_config_gets_its_own_grid(self, change):
+        base = OptimizerConfig()
+        cfg = replace(base, **change)
+        mus, nus, zooms = _grid(cfg)
+        assert not np.array_equal(mus, _grid(base)[0])
+        assert np.array_equal(mus, np.geomspace(2 * cfg.nu_min, cfg.mu_max, cfg.coarse_grid))
+        assert np.array_equal(nus, np.geomspace(cfg.nu_min, cfg.mu_max * (1 - 1e-9), cfg.coarse_grid))
+        # half-widths start at one coarse log step and shrink 4x per round, 3 rounds per pass
+        assert len(zooms) == 3 * cfg.refine_iterations
+        for r, (zoom_mu, zoom_nu) in enumerate(zooms):
+            np.testing.assert_allclose(zoom_mu, np.exp(np.log(mus[1] / mus[0]) / 4.0**r * _ZOOM), rtol=1e-14)
+            np.testing.assert_allclose(zoom_nu, np.exp(np.log(nus[1] / nus[0]) / 4.0**r * _ZOOM), rtol=1e-14)
+
+    def test_cached_call_gives_identical_result(self, flume_params):
+        cfg = OptimizerConfig(coarse_grid=37, refine_iterations=2)
+        _grid.cache_clear()
+        first = optimize_mu_nu(flume_params.at_length(30.0), cfg)
+        second = optimize_mu_nu(flume_params.at_length(30.0), cfg)
+        assert _grid.cache_info().hits == 1 and _grid.cache_info().misses == 1
+        assert second == first
 
 
 class TestBatch:
