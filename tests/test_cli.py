@@ -5,7 +5,6 @@ from dataclasses import fields
 import pytest
 
 from uwqkd.channel import ChannelParams
-import uwqkd.cli
 from uwqkd.cli import build_parser, main
 from uwqkd.config import (
     _KINDS,
@@ -388,7 +387,7 @@ def _run_sequence(out_dir, capsys):
 def test_cached_parser_leaks_no_state(tmp_path, monkeypatch, capsys):
     assert build_parser() is build_parser()
     cached = _run_sequence(tmp_path / "cached", capsys)
-    monkeypatch.setattr(uwqkd.cli, "build_parser", build_parser.__wrapped__)  # a new parser per call
+    monkeypatch.setattr("uwqkd.cli.build_parser", build_parser.__wrapped__)  # a new parser per call
     fresh = _run_sequence(tmp_path / "fresh", capsys)
     assert cached == fresh
     runs, files = cached
