@@ -8,7 +8,7 @@ Implements the asymptotic single-decoy bounds on the single-photon gain
 with a constant error-correction inefficiency f.  All clamps (negative Q1,
 e1 outside [0, 1/2], negative K) set explicit flags instead of raising, so
 optimization sweeps can traverse vacuous parameter regions.  A (mu, nu) at
-which the bounds are NaN or infinite raises a ``ValueError`` naming both.
+which the bounds are NaN or infinite raises a ``NonFiniteBoundsError`` naming both.
 """
 
 from __future__ import annotations
@@ -107,13 +107,17 @@ def _check_ordering(mu: float, nu: float) -> None:
         raise ValueError(f"invalid decoy ordering: need 0 < nu < mu < inf, got mu={mu}, nu={nu}")
 
 
+class NonFiniteBoundsError(ValueError):
+    """The decoy bounds, and so K, are NaN or infinite at a (mu, nu) point."""
+
+
 def _check_finite(mu, nu, *values) -> None:
     """Reject the first (mu, nu) point at which one of the values is NaN or infinite."""
     for v in values:
         if not np.isfinite(v).all():
             i = np.flatnonzero(~np.isfinite(v))[0]
             m, n = float(np.ravel(mu)[i]), float(np.ravel(nu)[i])
-            raise ValueError(f"decoy bounds are not finite at mu={m}, nu={n}")
+            raise NonFiniteBoundsError(f"decoy bounds are not finite at mu={m}, nu={n}")
 
 
 def estimate_single_photon(stats: GainStats, mu: float, nu: float) -> DecoyEstimate:

@@ -1,9 +1,19 @@
 """Key rate maximization over (mu, nu) and rate-distance analysis.
 
-The objective is smooth and unimodal in practice, so a batch of channels is
-optimized together: a log-uniform coarse grid in a few broadcast kernel calls,
-then rounds of small zoom grids in (log mu, log nu) around each channel's best
-point, vectorized over the batch.  Ties break toward smaller mu.
+The weakest decoy is best (Ma, Qi, Zhao and Lo, PRA 72, 012326, 2005), so a
+batch of channels is optimized over mu alone at nu = nu_min (see
+``OptimizerConfig``).  K depends on nu only through the bounds of
+``decoy._decoy_bounds``; with Poisson yields, Q_x e^x = sum_n Y_n x^n / n!, and
+Y1 = Q1 e^mu / mu, they read
+    Q1 = mu e^-mu [Y1 - mu nu sum_{n>=3} (Y_n / n!) sum_{k=0}^{n-3} mu^k nu^(n-3-k)],
+    e1 Y1 = sum_{n>=1} [Y0/2 + e_det (Y_n - Y0)] nu^(n-1) / n!.
+So Q1 falls and e1 rises with nu, clamps included, while Q_mu, E_mu and a QBER
+override do not depend on nu: K = 1/2 [Q1 (1 - H(e1)) - f Q_mu H(E_mu)] never
+rises with nu.  This needs Poisson yields, which a signal gain capped at 1 - Y0
+by ``channel._gain_qber`` (Y0 > exp(-eta mu)) is not, and exact arithmetic:
+with nu_min <= 1e-5, where Y0 nu dwarfs the decoy's signal gain, rounding can
+make K rise along nu, and below a transmittance of about 1e-300 the bounds go
+subnormal; a nu_min row with no finite K raises ``NonFiniteBoundsError``.
 """
 
 from __future__ import annotations
@@ -16,9 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelParams, ZeroGainError
-from .decoy import KeyRateResult, _channel_columns, _key_rate_arrays, evaluate_key_rate
+from .decoy import KeyRateResult, NonFiniteBoundsError, _channel_columns, _key_rate_arrays, evaluate_key_rate
 
-_CHUNK_POINTS = 2 * 64 * 64  # coarse-grid points per kernel call, bounding its temporaries
+_CHUNK_POINTS = 2 * 64 * 64  # kernel points per call, bounding its temporaries
 _ZOOM = np.linspace(-1.0, 1.0, 9)  # zoom offsets in box half-widths; 0 is the current best
 
 
@@ -30,10 +40,10 @@ class DeadChannelError(ValueError):
 class OptimizerConfig:
     """Search space and effort of ``optimize_mu_nu``.
 
-    Each of the ``refine_iterations`` passes after the coarse grid is three
-    zoom rounds: a 9 x 9 grid in (log mu, log nu) around the best point, whose
-    half-width starts at one coarse step and shrinks by 4x per round (0 keeps
-    the coarse optimum).  The coarse mu axis runs from 2 nu_min to mu_max.
+    mu is searched at nu_min: a log-uniform coarse row from 2 nu_min to mu_max,
+    then three zoom rounds per ``refine_iterations`` pass (0 keeps the coarse
+    optimum), each 9 points in log mu around the best one, with a half-width
+    of one coarse step that shrinks by 4x per round.  Ties go to the smaller mu.
     """
 
     mu_max: float = 1.0
@@ -46,7 +56,7 @@ class OptimizerConfig:
             raise ValueError(f"nu_min must be finite and > 0, got {self.nu_min}")
         if self.coarse_grid < 8:
             raise ValueError("coarse_grid must be >= 8 points per axis")
-        # an empty search box would give backwards axes and a mu above mu_max
+        # an empty search box would give a backwards axis and a mu above mu_max
         if not 2 * self.nu_min < self.mu_max < math.inf:
             raise ValueError(f"mu_max must be finite and > 2 * nu_min = {2 * self.nu_min}, got {self.mu_max}")
         if self.refine_iterations < 0:
@@ -71,29 +81,29 @@ def _k_grid(cols: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _grid(cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The log-uniform coarse-grid axes (mus, nus) and, per zoom round, the factors
-    exp(half-width * _ZOOM) on mu and on nu; built once per config, read-only."""
+def _grid(cfg: OptimizerConfig) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The log-uniform coarse mu axis and, per zoom round, the factors
+    exp(half-width * _ZOOM) on mu; built once per config, read-only."""
     mus = np.geomspace(2 * cfg.nu_min, cfg.mu_max, cfg.coarse_grid)
-    nus = np.geomspace(cfg.nu_min, cfg.mu_max * (1 - 1e-9), cfg.coarse_grid)
-    steps = np.log([mus[1] / mus[0], nus[1] / nus[0]])
-    halves = steps / 4.0 ** np.arange(3 * cfg.refine_iterations)[:, None]
-    zooms = tuple((np.exp(h[0] * _ZOOM), np.exp(h[1] * _ZOOM)) for h in halves)
-    for a in (mus, nus, *(f for z in zooms for f in z)):
+    halves = np.log(mus[1] / mus[0]) / 4.0 ** np.arange(3 * cfg.refine_iterations)
+    zooms = tuple(np.exp(h * _ZOOM) for h in halves)
+    for a in (mus, *zooms):
         a.flags.writeable = False
-    return mus, nus, zooms
+    return mus, zooms
 
 
-def _coarse_best(cols: np.ndarray, mus: np.ndarray, nus: np.ndarray):
-    """K, mu and nu of each channel column's best coarse-grid point."""
-    best, chunk = [], max(1, _CHUNK_POINTS // (mus.size * nus.size))
-    for c in range(0, cols.shape[1], chunk):
-        k = _k_grid(cols[:, c : c + chunk, None, None], mus[:, None], nus[None, :])
-        k = k.reshape(len(k), -1)
-        # first flat argmax = smallest mu (rows ascend in mu), breaking ties low
-        j = np.argmax(k, axis=1)
-        best.append((k[np.arange(len(k)), j], mus[j // nus.size], nus[j % nus.size]))
-    return [np.concatenate(x) for x in zip(*best)]
+def _row_best(cols: np.ndarray, mu: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Best K on each channel column's row of ``mu`` at one nu, and its mu (the first
+    maximum, so the smaller mu of an ascending row), in kernel calls of at most
+    ``_CHUNK_POINTS`` points, which bounds their temporaries."""
+    k_best, mu_best = np.empty(len(mu)), np.empty(len(mu))
+    step = max(1, _CHUNK_POINTS // mu.shape[1])
+    for c in range(0, len(mu), step):
+        rows = mu[c : c + step]
+        k = _k_grid(cols[:, c : c + step, None], rows, nu)
+        at, j = np.arange(len(rows)), np.argmax(k, axis=1)
+        k_best[c : c + step], mu_best[c : c + step] = k[at, j], rows[at, j]
+    return k_best, mu_best
 
 
 def optimize_mu_nu(
@@ -101,7 +111,7 @@ def optimize_mu_nu(
     cfg: OptimizerConfig | None = None,
     qber_override: float | None | Sequence[float | None] = None,
 ) -> KeyRateResult | list[KeyRateResult]:
-    """Maximize the decoy key rate over nu_min <= nu < mu <= mu_max.
+    """Maximize the decoy key rate over nu_min <= nu < mu <= mu_max, at nu = nu_min.
 
     A sequence of channels is optimized as one batch and gives a list of
     results; ``qber_override`` is then None or a sequence too (None entries
@@ -112,24 +122,19 @@ def optimize_mu_nu(
     ps, qber = ([p], [qber_override]) if single else (list(p), qber_override)
     if not ps:
         return []
-    cols = _channel_columns(ps, qber)
-    mus, nus, zooms = _grid(cfg)
-    best_k, mu, nu = _coarse_best(cols, mus, nus)
+    cols, nu = _channel_columns(ps, qber), float(cfg.nu_min)
+    mus, zooms = _grid(cfg)
+    best_k, mu = _row_best(cols, np.broadcast_to(mus, (len(ps), mus.size)), nu)
 
     live = np.flatnonzero(best_k > 0)
-    c, m, v, kb = cols[:, live, None, None], mu[live], nu[live], best_k[live]
-    at = np.arange(live.size)
-    for zoom_mu, zoom_nu in zooms:
-        mz = np.clip(m[:, None] * zoom_mu, mus[0], mus[-1])
-        vz = np.clip(v[:, None] * zoom_nu, nus[0], nus[-1])
-        kz = _k_grid(c, mz[:, :, None], vz[:, None, :]).reshape(live.size, _ZOOM.size**2)
-        j = np.argmax(kz, axis=1)
-        up = kz[at, j] >= kb  # so K never falls below the coarse best
-        kb = np.where(up, kz[at, j], kb)
-        m, v = np.where(up, mz[at, j // _ZOOM.size], m), np.where(up, vz[at, j % _ZOOM.size], v)
-    mu[live], nu[live] = m, v
+    c, m, kb = cols[:, live], mu[live], best_k[live]
+    for zoom in zooms:
+        kz, mz = _row_best(c, np.clip(m[:, None] * zoom, mus[0], mus[-1]), nu)
+        up = kz >= kb  # so K never falls below the coarse best
+        kb, m = np.where(up, kz, kb), np.where(up, mz, m)
+    mu[live] = m
 
-    results = evaluate_key_rate(ps, mu, nu, qber)
+    results = evaluate_key_rate(ps, mu, np.full(len(ps), nu), qber)
     return results[0] if single else results
 
 
@@ -156,10 +161,10 @@ def max_secure_distance(
     """Largest channel length with positive optimized key rate, to +/- tol_m.
 
     A probe needs only the sign of the optimized K, which is the sign of the
-    coarse grid's best K (refinement never lowers it), so probes skip
-    refinement; a probe with zero gain has no key.  Returns ``inf`` when no
-    cutoff exists below ``l_max``; raises ``DeadChannelError`` when there is
-    no key at 0 m.
+    coarse row's best K (refinement never lowers it), so probes skip
+    refinement; a probe with zero gain or no finite K at nu_min has no key.
+    Returns ``inf`` when no cutoff exists below ``l_max``; raises
+    ``DeadChannelError`` when there is no key at 0 m.
     """
     if not 0 <= tol_m < math.inf:
         raise ValueError(f"tol_m must be finite and >= 0, got {tol_m}")
@@ -170,7 +175,7 @@ def max_secure_distance(
     def has_key(length):
         try:
             return optimize_mu_nu(p.at_length(length), coarse).k_per_pulse > 0
-        except ZeroGainError:
+        except (ZeroGainError, NonFiniteBoundsError):
             return False
 
     if not has_key(0.0):

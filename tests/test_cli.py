@@ -322,6 +322,13 @@ class TestOptimizeCmd:
         d = self._cutoff(tmp_path, capsys, '{"dark_rate_hz": 0, "e_det": 0}', "6000")
         assert isinstance(d, float) and 5000 < d < 6000
 
+    def test_non_finite_optimum_exits_1(self, tmp_path, capsys):
+        # at 5589.84 m the transmittance is subnormal and K is non-finite on the whole nu_min row
+        path = tmp_path / "c.json"
+        path.write_text('{"dark_rate_hz": 0, "e_det": 0}')
+        assert main(["optimize", "--config", str(path), "--length", "5589.84"]) == 1
+        assert "error: decoy bounds are not finite at mu=0.0002, nu=0.0001" in capsys.readouterr().err
+
     def test_dead_channel_gives_null(self, tmp_path, capsys):
         text = '{"dark_rate_hz": 1e9, "detection_window_s": 1e-9}'
         assert self._cutoff(tmp_path, capsys, text, "50") is None

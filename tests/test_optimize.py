@@ -5,15 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from uwqkd.channel import ChannelParams
-from uwqkd.decoy import FLAG_NO_POSITIVE_KEY, evaluate_key_rate
+from uwqkd.channel import ChannelParams, background_yield, transmittance
+from uwqkd.decoy import FLAG_NO_POSITIVE_KEY, NonFiniteBoundsError, _channel_columns, evaluate_key_rate
 from uwqkd.optimize import (
+    _CHUNK_POINTS,
     _ZOOM,
     DeadChannelError,
     OptimizerConfig,
     _grid,
+    _k_grid,
     distance_sweep,
     max_secure_distance,
     optimize_mu_nu,
@@ -35,6 +37,33 @@ def brute_grid_max(p, resolution=1e-3, mu_max=1.0, nu_min=1e-4):
             k = evaluate_key_rate(p, float(mu), float(nu)).k_per_pulse
             best = max(best, k)
     return best
+
+
+def grid_2d_search(ps, cfg=OptimizerConfig(), qber=None):
+    """The (mu, nu) search that the search over mu alone replaced: the best
+    point of a log-uniform coarse grid in (mu, nu), then 9 x 9 zoom grids in
+    (log mu, log nu) with the same schedule; first maxima win."""
+    cols = _channel_columns(ps, qber)
+    mus = np.geomspace(2 * cfg.nu_min, cfg.mu_max, cfg.coarse_grid)
+    nus = np.geomspace(cfg.nu_min, cfg.mu_max * (1 - 1e-9), cfg.coarse_grid)
+    k = _k_grid(cols[:, :, None, None], mus[:, None], nus[None, :]).reshape(len(ps), -1)
+    j = np.argmax(k, axis=1)
+    kb, mu, nu = k[np.arange(len(ps)), j], mus[j // nus.size], nus[j % nus.size]
+    live = np.flatnonzero(kb > 0)
+    c, m, v, kb = cols[:, live, None, None], mu[live], nu[live], kb[live]
+    at = np.arange(live.size)
+    steps = np.log([mus[1] / mus[0], nus[1] / nus[0]])
+    for r in range(3 * cfg.refine_iterations):
+        half = steps / 4.0**r
+        mz = np.clip(m[:, None] * np.exp(half[0] * _ZOOM), mus[0], mus[-1])
+        vz = np.clip(v[:, None] * np.exp(half[1] * _ZOOM), nus[0], nus[-1])
+        kz = _k_grid(c, mz[:, :, None], vz[:, None, :]).reshape(live.size, _ZOOM.size**2)
+        j = np.argmax(kz, axis=1)
+        up = kz[at, j] >= kb
+        kb = np.where(up, kz[at, j], kb)
+        m, v = np.where(up, mz[at, j // _ZOOM.size], m), np.where(up, vz[at, j % _ZOOM.size], v)
+    mu[live], nu[live] = m, v
+    return evaluate_key_rate(ps, mu, nu, qber)
 
 
 class TestConfig:
@@ -111,8 +140,8 @@ class TestOptimizeMuNu:
 class TestGridCache:
     def test_equal_configs_share_read_only_arrays(self):
         a, b = _grid(OptimizerConfig(coarse_grid=20)), _grid(OptimizerConfig(coarse_grid=20))
-        assert a[0] is b[0] and a[1] is b[1] and a[2] is b[2]
-        for arr in (a[0], a[1], *a[2][0]):
+        assert a[0] is b[0] and a[1] is b[1]
+        for arr in (a[0], *a[1]):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
 
@@ -120,15 +149,13 @@ class TestGridCache:
     def test_other_config_gets_its_own_grid(self, change):
         base = OptimizerConfig()
         cfg = replace(base, **change)
-        mus, nus, zooms = _grid(cfg)
+        mus, zooms = _grid(cfg)
         assert not np.array_equal(mus, _grid(base)[0])
         assert np.array_equal(mus, np.geomspace(2 * cfg.nu_min, cfg.mu_max, cfg.coarse_grid))
-        assert np.array_equal(nus, np.geomspace(cfg.nu_min, cfg.mu_max * (1 - 1e-9), cfg.coarse_grid))
         # half-widths start at one coarse log step and shrink 4x per round, 3 rounds per pass
         assert len(zooms) == 3 * cfg.refine_iterations
-        for r, (zoom_mu, zoom_nu) in enumerate(zooms):
-            np.testing.assert_allclose(zoom_mu, np.exp(np.log(mus[1] / mus[0]) / 4.0**r * _ZOOM), rtol=1e-14)
-            np.testing.assert_allclose(zoom_nu, np.exp(np.log(nus[1] / nus[0]) / 4.0**r * _ZOOM), rtol=1e-14)
+        for r, zoom in enumerate(zooms):
+            np.testing.assert_allclose(zoom, np.exp(np.log(mus[1] / mus[0]) / 4.0**r * _ZOOM), rtol=1e-14)
 
     def test_cached_call_gives_identical_result(self, flume_params):
         cfg = OptimizerConfig(coarse_grid=37, refine_iterations=2)
@@ -137,6 +164,87 @@ class TestGridCache:
         second = optimize_mu_nu(flume_params.at_length(30.0), cfg)
         assert _grid.cache_info().hits == 1 and _grid.cache_info().misses == 1
         assert second == first
+
+
+# Random channels on which the search over mu alone must match the (mu, nu)
+# one.  Both hold only where K is non-increasing in nu, as computed:
+# - the transmittance is at least 1e-300; below it the bounds' products go
+#   subnormal and the nu_min row can be non-finite while larger nu is not;
+# - Y0 <= exp(-eta mu_max), so ``_gain_qber`` never caps the signal gain at
+#   1 - Y0; a capped gain is no Poisson mixture, and a decoy near mu can win;
+# - nu_min >= 1e-4; at 1e-5 and below, where Y0 nu dwarfs the decoy's signal
+#   gain, rounding made K rise along nu by up to 7e-4 relative.
+channels = st.builds(
+    ChannelParams,
+    alpha_db_per_m=st.floats(0, 2),
+    # live and dead channels, down to a transmittance that underflows to 0
+    length_m=st.sampled_from([0.0, 30.0]) | st.floats(0, 400) | st.floats(0, 6000),
+    eta_detector=st.floats(0.01, 1),
+    eta_bob=st.floats(0.01, 1),
+    dark_rate_hz=st.sampled_from([0.0, 300.0]) | st.floats(0, 1e8) | st.floats(0, 1e9),
+    e_det=st.floats(0, 0.3),
+    f_ec=st.floats(1, 1.5),
+)
+searches = st.builds(
+    OptimizerConfig,
+    mu_max=st.sampled_from([1.0, 0.5, 2.0]),
+    nu_min=st.sampled_from([1e-4, 1e-3]),
+    coarse_grid=st.sampled_from([64, 16]),
+    refine_iterations=st.sampled_from([3, 1, 0]),
+)
+
+
+def in_range(p, mu_max):
+    eta = transmittance(p)
+    return eta >= 1e-300 and background_yield(p) <= math.exp(-eta * mu_max)
+
+
+class TestSearchOverMuAlone:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(channels, st.none() | st.just(0.0) | st.floats(0, 0.1)), min_size=1, max_size=12),
+        searches,
+    )
+    def test_matches_search_over_mu_and_nu(self, specs, cfg):
+        specs = [(p, q) for p, q in specs if in_range(p, cfg.mu_max)]
+        assume(specs)
+        ps, qs = [p for p, _ in specs], [q for _, q in specs]
+        assert optimize_mu_nu(ps, cfg, qs) == grid_2d_search(ps, cfg, qs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(channels, st.none() | st.floats(0, 0.1), st.integers(0, 63), searches)
+    def test_k_non_increasing_in_nu(self, p, q, i, cfg):
+        # a row of the (mu, nu) grid that ``grid_2d_search`` starts from
+        mus = _grid(cfg)[0]
+        mu = mus[i % mus.size]
+        assume(in_range(p, cfg.mu_max))
+        nus = np.geomspace(cfg.nu_min, cfg.mu_max * (1 - 1e-9), cfg.coarse_grid)
+        k = _k_grid(_channel_columns([p], [q]), mu, nus[nus < mu])
+        assert np.all(np.diff(k) <= 0), k
+
+    def test_kernel_calls_stay_under_chunk(self, flume_params, monkeypatch):
+        import uwqkd.optimize as opt
+
+        points, inner = [], opt._k_grid
+
+        def counted(cols, mu, nu):
+            points.append(np.broadcast(cols[0], mu, nu).size)
+            return inner(cols, mu, nu)
+
+        monkeypatch.setattr(opt, "_k_grid", counted)
+        ps = [flume_params.at_length(x) for x in np.linspace(0, 60, 301)]
+        batch = optimize_mu_nu(ps)
+        # 301 x 64 coarse points need three calls
+        assert len(points) > 3 and max(points) <= _CHUNK_POINTS
+        monkeypatch.undo()
+        assert batch[::50] == [optimize_mu_nu(p) for p in ps[::50]]
+
+    def test_non_finite_row_raises_naming_mu_and_nu(self):
+        # at 5589.84 m the transmittance is ~4e-320 and K is non-finite on the
+        # whole nu_min row; outside a cutoff probe that is an error, not "no key"
+        p = ChannelParams(dark_rate_hz=0.0, e_det=0.0, length_m=5589.84)
+        with pytest.raises(NonFiniteBoundsError, match=r"not finite at mu=0\.0002, nu=0\.0001"):
+            optimize_mu_nu(p)
 
 
 class TestBatch:
