@@ -30,6 +30,7 @@ from .decoy import KeyRateResult, NonFiniteBoundsError, _channel_columns, _key_r
 
 _CHUNK_POINTS = 2 * 64 * 64  # kernel points per call, bounding its temporaries
 _ZOOM = np.linspace(-1.0, 1.0, 9)  # zoom offsets in box half-widths; 0 is the current best
+_LEVELS = 4  # bisection steps of max_secure_distance decided per optimize_mu_nu batch
 
 
 class DeadChannelError(ValueError):
@@ -152,17 +153,33 @@ def distance_sweep(p: ChannelParams, lengths, cfg: OptimizerConfig | None = None
     )
 
 
+def _midpoints(lo: float, hi: float, tol_m: float, levels: int) -> list[float]:
+    """Every midpoint that the bisection of ``max_secure_distance`` can probe in
+    its next ``levels`` steps from (lo, hi), in ascending order (at most
+    2**levels - 1); it stops at tol_m, or once no float is left strictly
+    between lo and hi."""
+    if levels == 0 or not (hi - lo > tol_m and lo < (mid := (lo + hi) / 2) < hi):
+        return []
+    return [*_midpoints(lo, mid, tol_m, levels - 1), mid, *_midpoints(mid, hi, tol_m, levels - 1)]
+
+
 def max_secure_distance(
     p: ChannelParams,
     cfg: OptimizerConfig | None = None,
     l_max: float = 200.0,
     tol_m: float = 0.1,
 ) -> float:
-    """Largest channel length with positive optimized key rate, to +/- tol_m.
+    """Largest channel length with positive optimized key rate.
 
-    A probe needs only the sign of the optimized K, which is the sign of the
-    coarse row's best K (refinement never lowers it), so probes skip
-    refinement; a probe with zero gain or no finite K at nu_min has no key.
+    Bisects [0, l_max] down to a bracket at most tol_m wide and returns its
+    midpoint, so the result lies within tol_m / 2 of where the coarse row's
+    best K stops being positive.  A probe needs only the sign of the optimized
+    K, which is the sign of the coarse row's best K (refinement never lowers
+    it), so probes skip refinement; a probe with zero gain or no finite K at
+    nu_min has no key.  Each ``optimize_mu_nu`` call is one batch holding every
+    midpoint of the next ``_LEVELS`` bisection steps (the first also 0 m and
+    l_max); a batch is exact per channel, so the bisection walks the same
+    brackets as one probe per call would.
     Returns ``inf`` when no cutoff exists below ``l_max``; raises
     ``DeadChannelError`` when there is no key at 0 m.
     """
@@ -172,18 +189,23 @@ def max_secure_distance(
         raise ValueError(f"l_max must be finite and > 0, got {l_max}")
     coarse = replace(cfg or OptimizerConfig(), refine_iterations=0)
 
-    def has_key(length):
+    def has_key(lengths):
         try:
-            return optimize_mu_nu(p.at_length(length), coarse).k_per_pulse > 0
+            return [r.k_per_pulse > 0 for r in optimize_mu_nu([p.at_length(x) for x in lengths], coarse)]
         except (ZeroGainError, NonFiniteBoundsError):
-            return False
+            # a batch raises if one of its channels does; that one alone has no key
+            return [False] if len(lengths) == 1 else [has_key([x])[0] for x in lengths]
 
-    if not has_key(0.0):
-        raise DeadChannelError("channel dead at zero length")
-    if has_key(l_max):
-        return math.inf
     lo, hi = 0.0, l_max
-    # stops at tol_m, or once no float is left strictly between lo and hi
+    probes = [lo, hi, *_midpoints(lo, hi, tol_m, _LEVELS)]
+    known = dict(zip(probes, has_key(probes)))
+    if not known[lo]:
+        raise DeadChannelError("channel dead at zero length")
+    if known[hi]:
+        return math.inf
     while hi - lo > tol_m and lo < (mid := (lo + hi) / 2) < hi:
-        lo, hi = (mid, hi) if has_key(mid) else (lo, mid)
+        if mid not in known:
+            probes = _midpoints(lo, hi, tol_m, _LEVELS)
+            known.update(zip(probes, has_key(probes)))
+        lo, hi = (mid, hi) if known[mid] else (lo, mid)
     return (lo + hi) / 2

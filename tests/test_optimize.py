@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from uwqkd.channel import ChannelParams, background_yield, transmittance
+from uwqkd.channel import ChannelParams, ZeroGainError, background_yield, transmittance
 from uwqkd.decoy import FLAG_NO_POSITIVE_KEY, NonFiniteBoundsError, _channel_columns, evaluate_key_rate
 from uwqkd.optimize import (
     _CHUNK_POINTS,
@@ -327,21 +327,122 @@ class TestDistanceSweep:
             distance_sweep(dark_only_params, [1.0, 1.0])
 
 
-def reference_cutoff(p, cfg, l_max=200.0, tol_m=0.1):
-    """The same bisection, each probe decided by the full optimization."""
-
-    def has_key(length):
-        return optimize_mu_nu(p.at_length(length), cfg).k_per_pulse > 0
-
+def bisect_cutoff(has_key, l_max, tol_m):
+    """Bisection of [0, l_max] with one probe at a time, stopping at tol_m or
+    once no float is left strictly between lo and hi."""
     if not has_key(0.0):
         raise DeadChannelError("channel dead at zero length")
     if has_key(l_max):
         return math.inf
     lo, hi = 0.0, l_max
-    while hi - lo > tol_m:
-        mid = (lo + hi) / 2
+    while hi - lo > tol_m and lo < (mid := (lo + hi) / 2) < hi:
         lo, hi = (mid, hi) if has_key(mid) else (lo, mid)
     return (lo + hi) / 2
+
+
+def sequential_cutoff(p, cfg=None, l_max=200.0, tol_m=0.1):
+    """The cutoff search that the batched one replaced: one coarse-row
+    optimization per probe, zero gain or a non-finite nu_min row meaning no key."""
+    coarse = replace(cfg or OptimizerConfig(), refine_iterations=0)
+
+    def has_key(length):
+        try:
+            return optimize_mu_nu(p.at_length(length), coarse).k_per_pulse > 0
+        except (ZeroGainError, NonFiniteBoundsError):
+            return False
+
+    return bisect_cutoff(has_key, l_max, tol_m)
+
+
+def reference_cutoff(p, cfg, l_max=200.0, tol_m=0.1):
+    """The same bisection, each probe decided by the full optimization."""
+    return bisect_cutoff(lambda x: optimize_mu_nu(p.at_length(x), cfg).k_per_pulse > 0, l_max, tol_m)
+
+
+def cutoff_or_error(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except DeadChannelError:
+        return DeadChannelError
+
+
+# live channels, dead ones (dark rates up to 1e8 Hz, e_det up to 0.3) and
+# dark-free ones whose transmittance underflows to zero gain before 6000 m
+cutoff_channels = st.builds(
+    ChannelParams,
+    alpha_db_per_m=st.floats(0.05, 2),
+    eta_detector=st.floats(0.01, 1),
+    eta_bob=st.floats(0.01, 1),
+    dark_rate_hz=st.sampled_from([0.0, 300.0]) | st.floats(0, 1e4) | st.floats(0, 1e8),
+    e_det=st.sampled_from([0.0, 0.03]) | st.floats(0, 0.3),
+)
+
+
+class TestBatchedCutoff:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cutoff_channels,
+        st.sampled_from([OptimizerConfig(), FAST]),
+        st.sampled_from([50.0, 200.0, 6000.0]),
+        st.sampled_from([0.0, 1e-3, 0.1]),
+    )
+    def test_matches_sequential_bisection(self, p, cfg, l_max, tol_m):
+        got = cutoff_or_error(max_secure_distance, p, cfg, l_max=l_max, tol_m=tol_m)
+        assert got == cutoff_or_error(sequential_cutoff, p, cfg, l_max=l_max, tol_m=tol_m)
+
+    @pytest.mark.parametrize(
+        "params,l_max",
+        [({}, 200.0), ({"dark_rate_hz": 0.0, "e_det": 0.0}, 6000.0), ({"dark_rate_hz": 1e8}, 50.0)],
+    )
+    @pytest.mark.parametrize("tol_m", [0.0, 1e-3, 0.1])
+    def test_known_channels_match_sequential_bisection(self, params, l_max, tol_m):
+        p = ChannelParams(**params)
+        got = cutoff_or_error(max_secure_distance, p, l_max=l_max, tol_m=tol_m)
+        assert got == cutoff_or_error(sequential_cutoff, p, l_max=l_max, tol_m=tol_m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(cutoff_channels, st.floats(0, 400), st.none() | st.floats(0, 0.1)),
+            min_size=1,
+            max_size=17,  # a first cutoff batch: 0 m, l_max and 15 midpoints
+        ),
+        st.sampled_from([OptimizerConfig(), FAST]),
+    )
+    def test_coarse_batch_is_exact_per_channel(self, specs, cfg):
+        # mixes live and dead lengths; the batched cutoff is exact because of this
+        coarse = replace(cfg, refine_iterations=0)
+        ps, qs = [p.at_length(x) for p, x, _ in specs], [q for *_, q in specs]
+        alone = [optimize_mu_nu(p, coarse, q) for p, q in zip(ps, qs)]
+        batch = optimize_mu_nu(ps, coarse, qs)
+        assert [(r.k_per_pulse, r.mu) for r in batch] == [(r.k_per_pulse, r.mu) for r in alone]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import uwqkd.optimize as opt
+
+        calls, inner = [], opt.optimize_mu_nu
+
+        def counted(ps, *args, **kwargs):
+            calls.append(len(ps))
+            return inner(ps, *args, **kwargs)
+
+        monkeypatch.setattr(opt, "optimize_mu_nu", counted)
+        return calls
+
+    def test_flume_cutoff_takes_few_batches(self, flume_params, calls):
+        # 11 bisection steps at the defaults: batches of 17, 15 and 7 probes
+        d = max_secure_distance(flume_params)
+        assert 1 <= len(calls) <= 3
+        assert d == sequential_cutoff(flume_params)
+
+    def test_zero_gain_batch_probes_alone(self, calls):
+        # l_max lies where the transmittance underflows to zero gain, so the
+        # first batch raises and its lengths are probed one by one
+        p = ChannelParams(dark_rate_hz=0, e_det=0)
+        d = max_secure_distance(p, l_max=6000.0)
+        assert calls[:2] == [17, 1]
+        assert d == sequential_cutoff(p, l_max=6000.0)
 
 
 class TestMaxSecureDistance:
