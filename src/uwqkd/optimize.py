@@ -179,7 +179,9 @@ def max_secure_distance(
     nu_min has no key.  Each ``optimize_mu_nu`` call is one batch holding every
     midpoint of the next ``_LEVELS`` bisection steps (the first also 0 m and
     l_max); a batch is exact per channel, so the bisection walks the same
-    brackets as one probe per call would.
+    brackets as one probe per call would.  A batch raises if any of its
+    channels does, so the lengths of a raising batch are probed one at a time
+    when the bisection reaches them.
     Returns ``inf`` when no cutoff exists below ``l_max``; raises
     ``DeadChannelError`` when there is no key at 0 m.
     """
@@ -193,19 +195,24 @@ def max_secure_distance(
         try:
             return [r.k_per_pulse > 0 for r in optimize_mu_nu([p.at_length(x) for x in lengths], coarse)]
         except (ZeroGainError, NonFiniteBoundsError):
-            # a batch raises if one of its channels does; that one alone has no key
-            return [False] if len(lengths) == 1 else [has_key([x])[0] for x in lengths]
+            # None: probed alone once the bisection reaches it
+            return [False] if len(lengths) == 1 else [None] * len(lengths)
+
+    def key_at(length):
+        if known[length] is None:
+            known[length] = has_key([length])[0]
+        return known[length]
 
     lo, hi = 0.0, l_max
     probes = [lo, hi, *_midpoints(lo, hi, tol_m, _LEVELS)]
     known = dict(zip(probes, has_key(probes)))
-    if not known[lo]:
+    if not key_at(lo):
         raise DeadChannelError("channel dead at zero length")
-    if known[hi]:
+    if key_at(hi):
         return math.inf
     while hi - lo > tol_m and lo < (mid := (lo + hi) / 2) < hi:
         if mid not in known:
             probes = _midpoints(lo, hi, tol_m, _LEVELS)
             known.update(zip(probes, has_key(probes)))
-        lo, hi = (mid, hi) if known[mid] else (lo, mid)
+        lo, hi = (mid, hi) if key_at(mid) else (lo, mid)
     return (lo + hi) / 2
