@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from uwqkd.channel import ChannelParams, ZeroGainError, background_yield, transmittance
 from uwqkd.decoy import FLAG_NO_POSITIVE_KEY, NonFiniteBoundsError, _channel_columns, evaluate_key_rate
@@ -409,6 +409,8 @@ class TestBatchedCutoff:
         ),
         st.sampled_from([OptimizerConfig(), FAST]),
     )
+    # the flume channel's first cutoff batch: live up to ~78 m, dead beyond
+    @example([(ChannelParams(), x, None) for x in np.linspace(0.0, 200.0, 17)], OptimizerConfig())
     def test_coarse_batch_is_exact_per_channel(self, specs, cfg):
         # mixes live and dead lengths; the batched cutoff is exact because of this
         coarse = replace(cfg, refine_iterations=0)
