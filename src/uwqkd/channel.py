@@ -8,7 +8,7 @@ yield model Y_n = Y0 + 1 - (1-eta)^n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,16 @@ class ChannelParams:
             raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec}")
 
     def at_length(self, length_m: float) -> "ChannelParams":
-        return replace(self, length_m=length_m)
+        """This channel at another length; equal to ``replace(self, length_m=length_m)``.
+
+        The other fields were validated when this channel was built, so only
+        the new length is checked, and the fields are copied as they are.
+        """
+        if not 0 <= length_m < math.inf:
+            raise ValueError(f"length_m must be finite and >= 0, got {length_m}")
+        other = object.__new__(type(self))
+        other.__dict__.update(self.__dict__, length_m=length_m)  # bypasses the frozen __setattr__
+        return other
 
 
 @dataclass(frozen=True)

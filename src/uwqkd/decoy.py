@@ -24,6 +24,7 @@ from .channel import ChannelParams, GainStats, ZeroGainError, _gain_qber
 
 FLAG_VACUOUS = "vacuous"
 FLAG_NO_POSITIVE_KEY = "no_positive_key"
+FLAG_GAIN_CAPPED = "gain_capped"  # signal gain capped at 1 - Y0 (see channel._gain_qber)
 
 
 @dataclass(frozen=True)
@@ -75,24 +76,37 @@ def sifted_key_fraction(e: float) -> float:
     return max(0.0, 1 - 2 * binary_entropy(e))
 
 
-def _decoy_bounds(s_mu, s_nu, d_nu, mu, nu, y0):
+def _decoy_nu(s_nu, d_nu, nu, y0):
+    """The decoy's half of the single-photon bounds, on broadcastable arrays.
+
+    Takes the signal parts of the decoy's gain, s = Q - Y0, and error gain,
+    d = E Q - Y0/2 (see ``channel._gain_qber``), with Y0 folded in as
+    Q e^x - Y0 = s e^x + Y0 expm1(x), so no term cancels at small nu.
+    Returns ``(bracket_nu, e1_nu)``: s_nu e^nu + Y0 expm1(nu), the leading
+    terms of Q1's bracket, and d_nu e^nu + Y0 expm1(nu) / 2, e1's numerator.
+    """
+    with np.errstate(all="ignore"):  # e^nu overflows above nu ~ 709.8; callers screen out the inf
+        exp_nu = np.exp(nu)
+        dark_nu = y0 * np.expm1(nu)
+        return s_nu * exp_nu + dark_nu, d_nu * exp_nu + 0.5 * dark_nu
+
+
+def _decoy_bounds(s_mu, mu, nu, y0, bracket_nu, e1_nu):
     """Single-photon gain and error bounds, on broadcastable arrays.
 
-    Takes the signal parts of the gains, s = Q - Y0, and of the decoy's error
-    gain, d = E Q - Y0/2 (see ``channel._gain_qber``), with Y0 folded in as
-    Q e^x - Y0 = s e^x + Y0 expm1(x), so no term cancels at small nu.
-    Returns ``(q1, e1, vacuous)``: Q1 clamped below at 0, e1 clamped into
-    [0, 1/2] (1/2 where Q1 = 0), and where either clamp fired.
+    Completes the decoy's half from ``_decoy_nu`` with the signal's part of
+    the gain, s_mu = Q_mu - Y0.  Returns ``(q1, e1, vacuous)``: Q1 clamped
+    below at 0, e1 clamped into [0, 1/2] (1/2 where Q1 = 0), and where
+    either clamp fired.
     """
     # e^mu overflows above mu ~ 709.8 and r (mu - nu) can underflow; callers screen out the NaN/inf
     with np.errstate(all="ignore"):
-        exp_nu, exp_mu = np.exp(nu), np.exp(mu)
-        dark_nu = y0 * np.expm1(nu)
+        exp_mu = np.exp(mu)
         p1 = mu / exp_mu  # single-photon probability mu e^-mu
         r = nu / mu
-        bracket = s_nu * exp_nu + dark_nu - r * r * (s_mu * exp_mu + y0 * np.expm1(mu))
+        bracket = bracket_nu - r * r * (s_mu * exp_mu + y0 * np.expm1(mu))
         q1 = np.maximum(0.0, p1 / (r * (mu - nu)) * bracket)
-        e1_raw = (d_nu * exp_nu + 0.5 * dark_nu) * p1 / (q1 * nu)
+        e1_raw = e1_nu * p1 / (q1 * nu)
     e1 = np.where(q1 > 0, np.minimum(0.5, np.maximum(0.0, e1_raw)), 0.5)
     return q1, e1, e1 != e1_raw
 
@@ -124,38 +138,58 @@ def estimate_single_photon(stats: GainStats, mu: float, nu: float) -> DecoyEstim
     """Bound Q1 and e1 from the measured (or modeled) signal/decoy gains."""
     _check_ordering(mu, nu)
     y0 = stats.y0
-    q1, e1, vacuous = _decoy_bounds(
-        stats.q_mu - y0, stats.q_nu - y0, stats.e_nu * stats.q_nu - 0.5 * y0, mu, nu, y0
-    )
+    bracket_nu, e1_nu = _decoy_nu(stats.q_nu - y0, stats.e_nu * stats.q_nu - 0.5 * y0, nu, y0)
+    q1, e1, vacuous = _decoy_bounds(stats.q_mu - y0, mu, nu, y0, bracket_nu, e1_nu)
     _check_finite(mu, nu, q1, e1)
     return DecoyEstimate(q1_lower=float(q1), e1_upper=float(e1), vacuous=bool(vacuous))
 
 
-def _result(k, mu, nu, components, vacuous) -> KeyRateResult:
+def _result(k, mu, nu, components, vacuous, gain_capped=False) -> KeyRateResult:
+    """A result from the unclamped K and a dict of float components."""
     flags = (FLAG_VACUOUS,) if vacuous else ()
     if k <= 0:
         flags += (FLAG_NO_POSITIVE_KEY,)
+    if gain_capped:
+        flags += (FLAG_GAIN_CAPPED,)
     return KeyRateResult(
         k_per_pulse=max(0.0, float(k)),
         mu=mu,
         nu=nu,
-        components={name: float(v) for name, v in components.items()},
+        components=components,
         flags=flags,
     )
 
 
-def _key_rate_arrays(eta, y0, e_det, f_ec, qber, mu, nu):
+def _nu_stage(cols, nu) -> np.ndarray:
+    """The half of the key-rate kernel that depends on the channel and nu alone.
+
+    Takes channel columns (see ``_channel_columns``) and nu, broadcastable
+    against each other; computed once per batch and nu, so that
+    ``_key_rate_arrays`` does only the per-mu work.  Returns the rows eta,
+    Y0, e_det, f_ec, QBER override, modeled (1.0 where the override is NaN),
+    nu, Q_nu, E_nu and the two terms of ``_decoy_nu``, stacked on the first
+    axis like the columns and broadcast to one shape.
+    """
+    eta, y0, e_det, f_ec, qber = cols
+    q_nu, e_nu, s_nu, d_nu = _gain_qber(nu, eta, y0, e_det)
+    rows = (*cols, np.isnan(qber), nu, q_nu, e_nu, *_decoy_nu(s_nu, d_nu, nu, y0))
+    stage = np.empty((len(rows), *np.broadcast(*rows).shape))
+    for out, row in zip(stage, rows):
+        out[...] = row
+    return stage
+
+
+def _key_rate_arrays(stage, mu):
     """Channel model -> decoy bounds -> key rate, on broadcastable arrays.
 
-    Takes per-channel eta, Y0, e_det, f_ec and QBER override (NaN keeps the
-    modeled QBER), then the (mu, nu) arrays.  Returns the unclamped K, the
-    ``KeyRateResult.components`` as arrays and the vacuous mask; callers
-    screen out points with nu >= mu or zero gain.
+    Takes the rows of ``_nu_stage`` and the mu array.  Returns the
+    unclamped K, the ``KeyRateResult.components`` as arrays and the vacuous
+    mask; callers screen out points with nu >= mu or zero gain.
     """
+    eta, y0, e_det, f_ec, qber, modeled, nu, q_nu, e_nu, bracket_nu, e1_nu = stage
     q_mu, e_mu, s_mu, _ = _gain_qber(mu, eta, y0, e_det)
-    q_nu, e_nu, s_nu, d_nu = _gain_qber(nu, eta, y0, e_det)
-    q1, e1, vacuous = _decoy_bounds(s_mu, s_nu, d_nu, mu, nu, y0)
-    e_mu = np.where(np.isnan(qber), e_mu, qber)
+    q1, e1, vacuous = _decoy_bounds(s_mu, mu, nu, y0, bracket_nu, e1_nu)
+    e_mu = np.where(modeled, e_mu, qber)
     k = _key_fraction(q_mu, e_mu, q1, e1, f_ec)
     components = dict(
         q_mu=q_mu, e_mu=e_mu, q_nu=q_nu, e_nu=e_nu, y0=y0, q1_lower=q1, e1_upper=e1
@@ -197,17 +231,28 @@ def evaluate_key_rate(
     a list of results.
     """
     single = isinstance(p, ChannelParams)
-    ps, mu, nu, qber = ([p], [mu], [nu], [qber_override]) if single else (p, mu, nu, qber_override)
-    for _, m, n in zip(ps, mu, nu, strict=True):
-        _check_ordering(m, n)
-    mu, nu = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
-    k, components, vacuous = _key_rate_arrays(*_channel_columns(ps, qber), mu, nu)
+    ps, mu_in, nu_in, qber = ([p], [mu], [nu], [qber_override]) if single else (p, mu, nu, qber_override)
+    mu, nu = np.asarray(mu_in, dtype=float), np.asarray(nu_in, dtype=float)
+    if not mu.shape == nu.shape == (len(ps),):
+        raise ValueError(f"a batch of {len(ps)} channels needs one mu and one nu per channel, "
+                         f"got {mu.size} and {nu.size}")
+    bad = ~((0 < nu) & (nu < mu) & (mu < math.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_ordering(mu_in[i], nu_in[i])
+    cols = _channel_columns(ps, qber)
+    k, components, vacuous = _key_rate_arrays(_nu_stage(cols, nu), mu)
     if np.any(components["q_nu"] == 0.0):
         raise ZeroGainError()
     # with Q_nu > 0 the gains and QBERs are finite, and a NaN or inf Q1 or e1 makes K one too
     _check_finite(mu, nu, k)
+    eta, y0 = cols[:2]
+    capped = -np.expm1(-eta * mu) > 1.0 - y0  # where _gain_qber capped the signal gain
+    names, per_channel = list(components), zip(*(v.tolist() for v in components.values()))
     results = [
-        _result(k[i], float(mu[i]), float(nu[i]), {n: v[i] for n, v in components.items()}, vacuous[i])
-        for i in range(len(k))
+        _result(k_i, m, n, dict(zip(names, values)), vac, cap)
+        for k_i, m, n, vac, cap, values in zip(
+            k.tolist(), mu.tolist(), nu.tolist(), vacuous.tolist(), capped.tolist(), per_channel
+        )
     ]
     return results[0] if single else results

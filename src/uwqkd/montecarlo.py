@@ -9,7 +9,9 @@ to the signal outcome; dark-only clicks carry a uniformly random outcome.
 Pulses are simulated in blocks of 2**16, each block drawing from its own
 stream derived from the master seed.  The blocks run on
 min(usable CPUs, 4, number of blocks) threads, the calling thread included;
-numpy releases the interpreter lock for the draws and the reductions.  Each
+numpy releases the interpreter lock for the draws and the reductions.  The
+calling thread makes the blocks' generators a few rounds ahead of the
+workers, so the number alive at once does not grow with the session.  Each
 block's counts are integers and are summed exactly, so results are
 reproducible and independent of the number of threads.
 """
@@ -27,6 +29,7 @@ from .channel import ChannelParams, _gain_qber, background_yield, transmittance
 
 BLOCK_SIZE = 2**16
 _MAX_THREADS = 4
+_ROUNDS_AHEAD = 2  # rounds of one block per worker whose generators exist ahead of time
 _BAND_SE = 4.0  # half-width of within_model_band's band, in standard errors
 
 
@@ -87,23 +90,52 @@ def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> S
     y0 = background_yield(p)
 
     n_blocks = (n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
-    # every generator is made on the calling thread before any worker starts, so a
-    # tracer wrapping _block_rng counts blocks without sharing a counter across threads
-    rngs = [_block_rng(seed, b) for b in range(n_blocks)]
     n_workers = min(_usable_cpus(), _MAX_THREADS, n_blocks)
+    # every generator is made on the calling thread, so a tracer wrapping _block_rng counts
+    # blocks without sharing a counter across threads; it makes them at most `ahead` blocks
+    # past its own and holds at most `ahead` not yet taken, so few are alive at once
+    ahead = _ROUNDS_AHEAD * n_workers
+    rngs: dict[int, np.random.Generator] = {}  # made and not yet taken, by block
+    made = 0  # blocks whose generator has been made; written by the calling thread only
+    ready = threading.Condition()
     block_counts: list[tuple[int, int, int] | None] = [None] * n_blocks
     failures: list[BaseException] = []
+
+    def make(through: int, upto: int) -> None:
+        """On the calling thread, holding ``ready``: make generators through block
+        ``through``, waiting whenever ``ahead`` are not yet taken (the other workers
+        take them), then on up to block ``upto`` while fewer than ``ahead`` are."""
+        nonlocal made
+        while made <= through or made < upto and len(rngs) < ahead:
+            ready.wait_for(lambda: len(rngs) < ahead or failures)
+            if failures:
+                return
+            rngs[made] = _block_rng(seed, made)
+            made += 1
+            ready.notify_all()
 
     def work(w: int) -> None:
         # worker w takes blocks w, w + n_workers, ...; all stop once one has failed
         try:
             for b in range(w, n_blocks, n_workers):
-                if failures:
-                    return
+                with ready:
+                    if w == 0:
+                        make(b, min(n_blocks, b + ahead))
+                    ready.wait_for(lambda: made > b or failures)
+                    if failures:
+                        return
+                    rng = rngs.pop(b)
+                    ready.notify_all()
                 size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
-                block_counts[b] = _block_counts(rngs[b], size, mu, eta, y0, p.e_det)
+                block_counts[b] = _block_counts(rng, size, mu, eta, y0, p.e_det)
+                del rng
+            if w == 0:
+                with ready:
+                    make(n_blocks - 1, n_blocks)
         except BaseException as exc:
-            failures.append(exc)
+            with ready:
+                failures.append(exc)
+                ready.notify_all()
 
     threads = [threading.Thread(target=work, args=(w,)) for w in range(1, n_workers)]
     for t in threads:

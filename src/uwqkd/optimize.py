@@ -3,14 +3,15 @@
 The weakest decoy is best (Ma, Qi, Zhao and Lo, PRA 72, 012326, 2005), so a
 batch of channels is optimized over mu alone at nu = nu_min (see
 ``OptimizerConfig``).  K depends on nu only through the bounds of
-``decoy._decoy_bounds``; with Poisson yields, Q_x e^x = sum_n Y_n x^n / n!, and
-Y1 = Q1 e^mu / mu, they read
+``decoy._decoy_nu`` and ``decoy._decoy_bounds``; with Poisson yields,
+Q_x e^x = sum_n Y_n x^n / n!, and Y1 = Q1 e^mu / mu, they read
     Q1 = mu e^-mu [Y1 - mu nu sum_{n>=3} (Y_n / n!) sum_{k=0}^{n-3} mu^k nu^(n-3-k)],
     e1 Y1 = sum_{n>=1} [Y0/2 + e_det (Y_n - Y0)] nu^(n-1) / n!.
 So Q1 falls and e1 rises with nu, clamps included, while Q_mu, E_mu and a QBER
 override do not depend on nu: K = 1/2 [Q1 (1 - H(e1)) - f Q_mu H(E_mu)] never
 rises with nu.  This needs Poisson yields, which a signal gain capped at 1 - Y0
-by ``channel._gain_qber`` (Y0 > exp(-eta mu)) is not, and exact arithmetic:
+by ``channel._gain_qber`` (Y0 > exp(-eta mu); such results carry the flag
+``decoy.FLAG_GAIN_CAPPED``) is not, and exact arithmetic:
 with nu_min <= 1e-5, where Y0 nu dwarfs the decoy's signal gain, rounding can
 make K rise along nu, and below a transmittance of about 1e-300 the bounds go
 subnormal; a nu_min row with no finite K raises ``NonFiniteBoundsError``.
@@ -26,7 +27,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelParams, ZeroGainError
-from .decoy import KeyRateResult, NonFiniteBoundsError, _channel_columns, _key_rate_arrays, evaluate_key_rate
+from .decoy import (
+    KeyRateResult,
+    NonFiniteBoundsError,
+    _channel_columns,
+    _key_rate_arrays,
+    _nu_stage,
+    evaluate_key_rate,
+)
 
 _CHUNK_POINTS = 2 * 64 * 64  # kernel points per call, bounding its temporaries
 _ZOOM = np.linspace(-1.0, 1.0, 9)  # zoom offsets in box half-widths; 0 is the current best
@@ -73,11 +81,12 @@ class RatePoint:
     flags: tuple[str, ...]
 
 
-def _k_grid(cols: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Key rate of channel columns (see ``_channel_columns``, reshaped to
-    broadcast) on (mu, nu) arrays; invalid points and non-finite K -> -inf,
-    so that ``np.argmax`` never picks a NaN."""
-    k, components, _ = _key_rate_arrays(*cols, mu, nu)
+def _k_grid(stage: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Key rate on a mu array, from the rows of ``decoy._nu_stage`` reshaped to
+    broadcast against it; invalid points and non-finite K -> -inf, so that
+    ``np.argmax`` never picks a NaN."""
+    k, components, _ = _key_rate_arrays(stage, mu)
+    nu = stage[6]  # the nu row
     return np.where((nu < mu) & (components["q_mu"] > 0) & np.isfinite(k), k, -np.inf)
 
 
@@ -93,15 +102,16 @@ def _grid(cfg: OptimizerConfig) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return mus, zooms
 
 
-def _row_best(cols: np.ndarray, mu: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Best K on each channel column's row of ``mu`` at one nu, and its mu (the first
-    maximum, so the smaller mu of an ascending row), in kernel calls of at most
-    ``_CHUNK_POINTS`` points, which bounds their temporaries."""
+def _row_best(stage: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best K on each channel's row of ``mu``, given the channels' ``decoy._nu_stage``
+    columns, and its mu (the first maximum, so the smaller mu of an ascending row),
+    in kernel calls of at most ``_CHUNK_POINTS`` points, which bounds their
+    temporaries."""
     k_best, mu_best = np.empty(len(mu)), np.empty(len(mu))
     step = max(1, _CHUNK_POINTS // mu.shape[1])
     for c in range(0, len(mu), step):
         rows = mu[c : c + step]
-        k = _k_grid(cols[:, c : c + step, None], rows, nu)
+        k = _k_grid(stage[:, c : c + step, None], rows)
         at, j = np.arange(len(rows)), np.argmax(k, axis=1)
         k_best[c : c + step], mu_best[c : c + step] = k[at, j], rows[at, j]
     return k_best, mu_best
@@ -123,14 +133,15 @@ def optimize_mu_nu(
     ps, qber = ([p], [qber_override]) if single else (list(p), qber_override)
     if not ps:
         return []
-    cols, nu = _channel_columns(ps, qber), float(cfg.nu_min)
+    nu = float(cfg.nu_min)
+    stage = _nu_stage(_channel_columns(ps, qber), nu)  # once for the coarse row and every zoom
     mus, zooms = _grid(cfg)
-    best_k, mu = _row_best(cols, np.broadcast_to(mus, (len(ps), mus.size)), nu)
+    best_k, mu = _row_best(stage, np.broadcast_to(mus, (len(ps), mus.size)))
 
     live = np.flatnonzero(best_k > 0)
-    c, m, kb = cols[:, live], mu[live], best_k[live]
+    s, m, kb = stage[:, live], mu[live], best_k[live]
     for zoom in zooms:
-        kz, mz = _row_best(c, np.clip(m[:, None] * zoom, mus[0], mus[-1]), nu)
+        kz, mz = _row_best(s, np.clip(m[:, None] * zoom, mus[0], mus[-1]))
         up = kz >= kb  # so K never falls below the coarse best
         kb, m = np.where(up, kz, kb), np.where(up, mz, m)
     mu[live] = m

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -208,3 +209,38 @@ class TestGainStats:
         s = gain_stats(ChannelParams(length_m=length), mu, mu * frac)
         assert s.q_nu <= s.q_mu + 1e-15
         assert s.e_nu >= s.e_mu - 1e-15
+
+
+valid_channels = st.builds(
+    ChannelParams,
+    alpha_db_per_m=st.floats(0, 5),
+    length_m=st.floats(0, 1e4),
+    eta_detector=st.floats(1e-6, 1),
+    eta_bob=st.floats(1e-6, 1),
+    dark_rate_hz=st.floats(0, 1e8),
+    pulse_rate_hz=st.floats(1e8, 1e10),  # so that Y0 <= 1e8 Hz x 1e-8 s stays <= 1
+    detection_window_s=st.none() | st.floats(1e-12, 1e-8),
+    e_det=st.floats(0, 0.49),
+    f_ec=st.floats(1, 2),
+    bob_includes_detector=st.booleans(),
+)
+
+
+class TestAtLength:
+    @settings(max_examples=300, deadline=None)
+    @given(valid_channels, st.floats(0, 1e4) | st.sampled_from([0.0, 5e-324, 1.7e308]) | st.integers(0, 10**6))
+    def test_equals_replace(self, p, length):
+        moved, replaced = p.at_length(length), dataclasses.replace(p, length_m=length)
+        assert moved == replaced and hash(moved) == hash(replaced)
+        assert type(moved) is ChannelParams and moved.__dict__ == replaced.__dict__
+        assert p.at_length(p.length_m) == p
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_invalid_length_rejected(self, length):
+        with pytest.raises(ValueError, match="length_m must be finite and >= 0"):
+            ChannelParams().at_length(length)
+
+    def test_result_is_frozen(self):
+        p = ChannelParams().at_length(10.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.length_m = 20.0

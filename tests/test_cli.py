@@ -135,6 +135,17 @@ class TestKeyrate:
         assert payload["k_per_pulse"] == 0.0
         assert "no_positive_key" in payload["flags"]
 
+    def test_capped_signal_gain_flagged(self, tmp_path, capsys):
+        # Y0 = 0.8 > exp(-eta mu): the gains fit no Poisson channel, yet K > 0
+        path = tmp_path / "capped.json"
+        path.write_text('{"dark_rate_hz": 8e8, "eta_bob": 1, "eta_detector": 0.6}')
+        assert main(["keyrate", "--config", str(path), "--length", "0", "--qber", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["k_per_pulse"] > 0 and payload["components"]["q_mu"] == 1.0
+        assert payload["flags"] == ["gain_capped"]
+        assert main(["keyrate", "--length", "0", "--qber", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["flags"] == []
+
     def test_bad_ordering_exits_1(self, config_file):
         rc = main(["keyrate", "--config", config_file, "--mu", "0.1", "--nu", "0.5"])
         assert rc == 1

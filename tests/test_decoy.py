@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from uwqkd.channel import ChannelParams, GainStats, _gain_qber
 from uwqkd.cli import _result_payload
 from uwqkd.decoy import (
+    FLAG_GAIN_CAPPED,
     FLAG_NO_POSITIVE_KEY,
     FLAG_VACUOUS,
     DecoyEstimate,
@@ -17,6 +18,7 @@ from uwqkd.decoy import (
     evaluate_key_rate,
     sifted_key_fraction,
 )
+from uwqkd.optimize import distance_sweep, optimize_mu_nu
 
 from conftest import e1_true, fock_gain, fock_qber, poisson_pn, q1_true
 
@@ -280,3 +282,26 @@ def test_model_qber_matches_fock_oracle(mu, eta, y0, e_det):
 
 def test_fock_gain_oracle_cross_check():
     assert fock_gain(0.5, 0.1, 1e-5) == pytest.approx(1e-5 + 1 - math.exp(-0.05), abs=1e-10)
+
+
+class TestGainCapped:
+    # Y0 = 0.8 and eta = 0.6: the signal gain 1 - exp(-eta mu) is capped at 1 - Y0
+    # for mu above ln(1 / Y0) / eta ~ 0.372
+    P = ChannelParams(dark_rate_hz=8e8, eta_bob=1, eta_detector=0.6)
+
+    def test_flagged_exactly_above_threshold(self):
+        threshold = math.log(1 / 0.8) / 0.6
+        mus = [m for m in np.linspace(0.2, 1.0, 81) if abs(m - threshold) > 1e-9]
+        results = evaluate_key_rate([self.P] * len(mus), mus, [0.1] * len(mus))
+        for mu, res in zip(mus, results):
+            assert (FLAG_GAIN_CAPPED in res.flags) == (mu > threshold), mu
+
+    def test_optimized_positive_key_on_capped_gain_is_flagged(self):
+        res = optimize_mu_nu(self.P, qber_override=0.0)
+        assert res.k_per_pulse > 0 and res.components["q_mu"] == 1.0
+        assert FLAG_GAIN_CAPPED in res.flags
+
+    def test_not_flagged_on_flume_channel(self, flume_params):
+        curve = distance_sweep(flume_params, np.arange(0.0, 91.0, 3.0))
+        assert not any(FLAG_GAIN_CAPPED in pt.flags for pt in curve)
+        assert FLAG_GAIN_CAPPED not in evaluate_key_rate(flume_params, 1.0, 0.5).flags

@@ -4,15 +4,55 @@ The reference restates the channel model and the vacuum + weak decoy bounds
 (Ma, Qi, Zhao & Lo, PRA 72, 012326, 2005) exactly as printed, without the
 expm1 and Y0-folding rearrangements of the kernel, and evaluates them in
 mpmath at the kernel's own float inputs, where no cancellation matters.
+
+The kernel runs in two stages, the nu half once per batch
+(``decoy._nu_stage``) and the mu half per point (``decoy._key_rate_arrays``).
+``one_pass_key_rate`` is the one-pass kernel they were split from; the split
+must reproduce it bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from uwqkd.channel import ChannelParams, GainStats, background_yield, transmittance
-from uwqkd.decoy import _channel_columns, estimate_single_photon, evaluate_key_rate
+from uwqkd.channel import ChannelParams, GainStats, _gain_qber, background_yield, transmittance
+from uwqkd.decoy import (
+    _channel_columns,
+    _key_fraction,
+    _key_rate_arrays,
+    _nu_stage,
+    estimate_single_photon,
+    evaluate_key_rate,
+)
 from uwqkd.optimize import _k_grid
+
+
+def one_pass_bounds(s_mu, s_nu, d_nu, mu, nu, y0):
+    """The decoy bounds as one function of both intensities."""
+    with np.errstate(all="ignore"):
+        exp_nu, exp_mu = np.exp(nu), np.exp(mu)
+        dark_nu = y0 * np.expm1(nu)
+        p1 = mu / exp_mu
+        r = nu / mu
+        bracket = s_nu * exp_nu + dark_nu - r * r * (s_mu * exp_mu + y0 * np.expm1(mu))
+        q1 = np.maximum(0.0, p1 / (r * (mu - nu)) * bracket)
+        e1_raw = (d_nu * exp_nu + 0.5 * dark_nu) * p1 / (q1 * nu)
+    e1 = np.where(q1 > 0, np.minimum(0.5, np.maximum(0.0, e1_raw)), 0.5)
+    return q1, e1, e1 != e1_raw
+
+
+def one_pass_key_rate(eta, y0, e_det, f_ec, qber, mu, nu):
+    """K, components and vacuous mask with both gains computed at every point."""
+    q_mu, e_mu, s_mu, _ = _gain_qber(mu, eta, y0, e_det)
+    q_nu, e_nu, s_nu, d_nu = _gain_qber(nu, eta, y0, e_det)
+    q1, e1, vacuous = one_pass_bounds(s_mu, s_nu, d_nu, mu, nu, y0)
+    e_mu = np.where(np.isnan(qber), e_mu, qber)
+    k = _key_fraction(q_mu, e_mu, q1, e1, f_ec)
+    components = dict(q_mu=q_mu, e_mu=e_mu, q_nu=q_nu, e_nu=e_nu, y0=y0, q1_lower=q1, e1_upper=e1)
+    return k, components, vacuous
 
 
 def q1_reference(q_mu, q_nu, mu, nu, y0):
@@ -86,7 +126,7 @@ class TestScalarAndGridAgree:
             mus = rng.uniform(0.05, 1.0, 4)
             nus = 10 ** rng.uniform(-4, -0.5, 4)
             cols = _channel_columns([p], [None])[:, 0, None, None]
-            grid = _k_grid(cols, mus[:, None], nus[None, :])
+            grid = _k_grid(_nu_stage(cols, nus[None, :]), mus[:, None])
             for (i, j), k in np.ndenumerate(grid):
                 if nus[j] >= mus[i]:
                     assert k == -np.inf
@@ -96,3 +136,70 @@ class TestScalarAndGridAgree:
                     checked += 1
                     assert abs(k - scalar) <= 1e-12 * scalar
         assert checked > 10_000
+
+
+def assert_bits_equal(a, b):
+    """Equal bit for bit once broadcast, so that -0.0 and each NaN count."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (a, b)
+
+
+SUBNORMAL = [5e-324, 1e-320, 1e-310]
+
+
+@st.composite
+def kernel_points(draw):
+    """One channel column and a (mu, nu) point: subnormal eta, Y0 at or near the
+    1 - Y0 cap on the signal gain, QBER overrides, and mu up to one float above nu."""
+    eta = draw(st.sampled_from(SUBNORMAL) | st.floats(1e-300, 1.0))
+    nu = draw(st.sampled_from([1e-4, 1e-6]) | st.floats(1e-9, 2.0))
+    mu = draw(
+        st.just(float(np.nextafter(nu, math.inf)))
+        | st.floats(1.0, 1.0 + 1e-6).map(lambda f: nu * f)
+        | st.floats(0.5, 1e3).map(lambda f: nu * f)
+    )
+    cap = math.exp(-eta * mu)  # the signal gain is capped wherever Y0 > cap
+    y0 = draw(
+        st.just(0.0)
+        | st.floats(0.0, 1e-3)
+        | st.floats(0.0, 1.0)
+        | st.sampled_from([1 - 1e-12, 1.0, 1 + 1e-12]).map(lambda f: min(1.0, cap * f))
+    )
+    e_det = draw(st.floats(0.0, 0.49))
+    f_ec = draw(st.floats(1.0, 2.0))
+    qber = draw(st.just(math.nan) | st.just(0.0) | st.floats(0.0, 0.5))
+    return (eta, y0, e_det, f_ec, qber), mu, nu
+
+
+def assert_matches_one_pass(stage, cols, mu, nu):
+    with np.errstate(all="ignore"):
+        k, components, vacuous = _key_rate_arrays(stage, mu)
+        k_ref, components_ref, vacuous_ref = one_pass_key_rate(*cols, mu, nu)
+    assert_bits_equal(k, k_ref)
+    assert components.keys() == components_ref.keys()
+    for name in components:
+        assert_bits_equal(components[name], components_ref[name])
+    assert np.array_equal(*np.broadcast_arrays(vacuous, vacuous_ref))
+
+
+class TestTwoStagesMatchOnePass:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(kernel_points(), min_size=1, max_size=8))
+    def test_per_channel_nu(self, points):
+        # evaluate_key_rate's form: one (mu, nu) per channel column
+        cols = np.array([c for c, _, _ in points]).T
+        mu, nu = np.array([m for _, m, _ in points]), np.array([n for _, _, n in points])
+        with np.errstate(all="ignore"):
+            stage = _nu_stage(cols, nu)
+        assert_matches_one_pass(stage, cols, mu, nu)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(kernel_points(), min_size=1, max_size=8), st.floats(1e-9, 1e-2),
+           st.lists(st.floats(1.0, 1e4), min_size=1, max_size=9))
+    def test_one_nu_rows_of_mu(self, points, nu, ratios):
+        # optimize_mu_nu's form: one nu for the batch, a row of mu per channel
+        cols = np.array([c for c, _, _ in points]).T
+        mu = np.array([[nu * f for f in ratios]] * len(points))
+        with np.errstate(all="ignore"):
+            stage = _nu_stage(cols, nu)[:, :, None]
+        assert_matches_one_pass(stage, cols[:, :, None], mu, nu)

@@ -1,5 +1,6 @@
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -188,6 +189,31 @@ class TestThreadedBlocks:
         finally:
             sys.setswitchinterval(interval)
         assert counts(s) == serial_counts(p, mu, 9 * BLOCK_SIZE + 3, 5)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_generators_made_in_windows(self, monkeypatch, cpus):
+        _set_cpus(monkeypatch, cpus)
+        workers = min(cpus, 4)
+        p = ChannelParams().at_length(10.5)
+        expected = simulate_session(p, 0.5, 10**7, 17)
+        real = montecarlo._block_rng
+        calling, live, peak, blocks = threading.get_ident(), [], [0], []
+
+        class Tracked(np.random.Generator):
+            pass  # a Python subclass, so that it takes weak references
+
+        def tracked(seed, b):
+            assert threading.get_ident() == calling
+            blocks.append(b)
+            rng = Tracked(real(seed, b).bit_generator)
+            live.append(weakref.ref(rng))
+            peak[0] = max(peak[0], sum(r() is not None for r in live))
+            return rng
+
+        monkeypatch.setattr(montecarlo, "_block_rng", tracked)
+        assert simulate_session(p, 0.5, 10**7, 17) == expected
+        assert blocks == list(range(153))
+        assert peak[0] <= 3 * workers
 
     @pytest.mark.parametrize("bad_block", [0, 1, 6])
     def test_failing_block_raises(self, monkeypatch, bad_block):

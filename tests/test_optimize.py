@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from uwqkd.channel import ChannelParams, ZeroGainError, background_yield, transmittance
-from uwqkd.decoy import FLAG_NO_POSITIVE_KEY, NonFiniteBoundsError, _channel_columns, evaluate_key_rate
+from uwqkd.decoy import FLAG_NO_POSITIVE_KEY, NonFiniteBoundsError, _channel_columns, _nu_stage, evaluate_key_rate
 from uwqkd.optimize import (
     _CHUNK_POINTS,
     _ZOOM,
@@ -46,7 +46,7 @@ def grid_2d_search(ps, cfg=OptimizerConfig(), qber=None):
     cols = _channel_columns(ps, qber)
     mus = np.geomspace(2 * cfg.nu_min, cfg.mu_max, cfg.coarse_grid)
     nus = np.geomspace(cfg.nu_min, cfg.mu_max * (1 - 1e-9), cfg.coarse_grid)
-    k = _k_grid(cols[:, :, None, None], mus[:, None], nus[None, :]).reshape(len(ps), -1)
+    k = _k_grid(_nu_stage(cols[:, :, None, None], nus[None, :]), mus[:, None]).reshape(len(ps), -1)
     j = np.argmax(k, axis=1)
     kb, mu, nu = k[np.arange(len(ps)), j], mus[j // nus.size], nus[j % nus.size]
     live = np.flatnonzero(kb > 0)
@@ -57,7 +57,7 @@ def grid_2d_search(ps, cfg=OptimizerConfig(), qber=None):
         half = steps / 4.0**r
         mz = np.clip(m[:, None] * np.exp(half[0] * _ZOOM), mus[0], mus[-1])
         vz = np.clip(v[:, None] * np.exp(half[1] * _ZOOM), nus[0], nus[-1])
-        kz = _k_grid(c, mz[:, :, None], vz[:, None, :]).reshape(live.size, _ZOOM.size**2)
+        kz = _k_grid(_nu_stage(c, vz[:, None, :]), mz[:, :, None]).reshape(live.size, _ZOOM.size**2)
         j = np.argmax(kz, axis=1)
         up = kz[at, j] >= kb
         kb = np.where(up, kz[at, j], kb)
@@ -219,7 +219,7 @@ class TestSearchOverMuAlone:
         mu = mus[i % mus.size]
         assume(in_range(p, cfg.mu_max))
         nus = np.geomspace(cfg.nu_min, cfg.mu_max * (1 - 1e-9), cfg.coarse_grid)
-        k = _k_grid(_channel_columns([p], [q]), mu, nus[nus < mu])
+        k = _k_grid(_nu_stage(_channel_columns([p], [q]), nus[nus < mu]), mu)
         assert np.all(np.diff(k) <= 0), k
 
     def test_kernel_calls_stay_under_chunk(self, flume_params, monkeypatch):
@@ -227,9 +227,9 @@ class TestSearchOverMuAlone:
 
         points, inner = [], opt._k_grid
 
-        def counted(cols, mu, nu):
-            points.append(np.broadcast(cols[0], mu, nu).size)
-            return inner(cols, mu, nu)
+        def counted(stage, mu):
+            points.append(np.broadcast(stage[0], mu).size)
+            return inner(stage, mu)
 
         monkeypatch.setattr(opt, "_k_grid", counted)
         ps = [flume_params.at_length(x) for x in np.linspace(0, 60, 301)]
@@ -238,6 +238,24 @@ class TestSearchOverMuAlone:
         assert len(points) > 3 and max(points) <= _CHUNK_POINTS
         monkeypatch.undo()
         assert batch[::50] == [optimize_mu_nu(p) for p in ps[::50]]
+
+    def test_nu_stage_built_once_per_search(self, flume_params, monkeypatch):
+        import uwqkd.decoy as decoy
+        import uwqkd.optimize as opt
+
+        shapes, inner = [], decoy._nu_stage
+
+        def counted(cols, nu):
+            stage = inner(cols, nu)
+            shapes.append(stage.shape)
+            return stage
+
+        monkeypatch.setattr(decoy, "_nu_stage", counted)
+        monkeypatch.setattr(opt, "_nu_stage", counted)
+        ps = [flume_params.at_length(x) for x in np.linspace(0, 60, 301)]
+        optimize_mu_nu(ps)
+        # the search's (coarse row and every zoom round) and the closing evaluate_key_rate's
+        assert len(shapes) <= 2 and all(s[1:] == (301,) for s in shapes)
 
     def test_non_finite_row_raises_naming_mu_and_nu(self):
         # at 5589.84 m the transmittance is ~4e-320 and K is non-finite on the
