@@ -232,14 +232,15 @@ def evaluate_key_rate(
     """
     single = isinstance(p, ChannelParams)
     ps, mu_in, nu_in, qber = ([p], [mu], [nu], [qber_override]) if single else (p, mu, nu, qber_override)
-    mu, nu = np.asarray(mu_in, dtype=float), np.asarray(nu_in, dtype=float)
+    mu, nu = np.asarray(mu_in), np.asarray(nu_in)
     if not mu.shape == nu.shape == (len(ps),):
         raise ValueError(f"a batch of {len(ps)} channels needs one mu and one nu per channel, "
-                         f"got {mu.size} and {nu.size}")
-    bad = ~((0 < nu) & (nu < mu) & (mu < math.inf))
+                         f"got shapes {mu.shape} and {nu.shape}")
+    bad = ~((0 < nu) & (nu < mu) & (mu < math.inf))  # a TypeError for strings, as in _check_ordering
     if bad.any():
         i = int(np.argmax(bad))
         _check_ordering(mu_in[i], nu_in[i])
+    mu, nu = mu.astype(float, copy=False), nu.astype(float, copy=False)
     cols = _channel_columns(ps, qber)
     k, components, vacuous = _key_rate_arrays(_nu_stage(cols, nu), mu)
     if np.any(components["q_nu"] == 0.0):

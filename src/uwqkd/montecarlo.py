@@ -9,9 +9,10 @@ to the signal outcome; dark-only clicks carry a uniformly random outcome.
 Pulses are simulated in blocks of 2**16, each block drawing from its own
 stream derived from the master seed.  The blocks run on
 min(usable CPUs, 4, number of blocks) threads, the calling thread included;
-numpy releases the interpreter lock for the draws and the reductions.  The
-calling thread makes the blocks' generators a few rounds ahead of the
-workers, so the number alive at once does not grow with the session.  Each
+numpy releases the interpreter lock for the draws and the reductions.  Each
+thread takes the next block in turn, and the calling thread makes the
+blocks' generators a few per thread ahead of the next one taken, so the
+number alive at once does not grow with the session.  Each
 block's counts are integers and are summed exactly, so results are
 reproducible and independent of the number of threads.
 """
@@ -29,7 +30,7 @@ from .channel import ChannelParams, _gain_qber, background_yield, transmittance
 
 BLOCK_SIZE = 2**16
 _MAX_THREADS = 4
-_ROUNDS_AHEAD = 2  # rounds of one block per worker whose generators exist ahead of time
+_ROUNDS_AHEAD = 2  # generators made ahead of the next block to be taken, per worker
 _BAND_SE = 4.0  # half-width of within_model_band's band, in standard errors
 
 
@@ -92,46 +93,36 @@ def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> S
     n_blocks = (n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
     n_workers = min(_usable_cpus(), _MAX_THREADS, n_blocks)
     # every generator is made on the calling thread, so a tracer wrapping _block_rng counts
-    # blocks without sharing a counter across threads; it makes them at most `ahead` blocks
-    # past its own and holds at most `ahead` not yet taken, so few are alive at once
+    # blocks without sharing a counter across threads; it makes them each time it takes a
+    # block, up to `ahead` past the next block to be taken, so few are alive at once
     ahead = _ROUNDS_AHEAD * n_workers
     rngs: dict[int, np.random.Generator] = {}  # made and not yet taken, by block
-    made = 0  # blocks whose generator has been made; written by the calling thread only
+    made = taken = 0  # blocks whose generator has been made; blocks handed to a worker
     ready = threading.Condition()
     block_counts: list[tuple[int, int, int] | None] = [None] * n_blocks
     failures: list[BaseException] = []
 
-    def make(through: int, upto: int) -> None:
-        """On the calling thread, holding ``ready``: make generators through block
-        ``through``, waiting whenever ``ahead`` are not yet taken (the other workers
-        take them), then on up to block ``upto`` while fewer than ``ahead`` are."""
-        nonlocal made
-        while made <= through or made < upto and len(rngs) < ahead:
-            ready.wait_for(lambda: len(rngs) < ahead or failures)
-            if failures:
-                return
-            rngs[made] = _block_rng(seed, made)
-            made += 1
-            ready.notify_all()
-
     def work(w: int) -> None:
-        # worker w takes blocks w, w + n_workers, ...; all stop once one has failed
+        # each worker takes the next block until none is left; all stop once one has failed
+        nonlocal made, taken
         try:
-            for b in range(w, n_blocks, n_workers):
+            while True:
                 with ready:
+                    b, taken = taken, taken + 1
                     if w == 0:
-                        make(b, min(n_blocks, b + ahead))
+                        while made < min(n_blocks, taken + ahead):
+                            rngs[made] = _block_rng(seed, made)
+                            made += 1
+                        ready.notify_all()
+                    if b >= n_blocks:
+                        return
                     ready.wait_for(lambda: made > b or failures)
                     if failures:
                         return
                     rng = rngs.pop(b)
-                    ready.notify_all()
                 size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
                 block_counts[b] = _block_counts(rng, size, mu, eta, y0, p.e_det)
                 del rng
-            if w == 0:
-                with ready:
-                    make(n_blocks - 1, n_blocks)
         except BaseException as exc:
             with ready:
                 failures.append(exc)

@@ -260,6 +260,8 @@ class TestKeyRate:
             evaluate_key_rate([flume_params, flume_params], [0.5, 0.1], [0.1, 0.2])
         with pytest.raises(ValueError):
             evaluate_key_rate([flume_params, flume_params], [0.5], [0.1])
+        with pytest.raises(TypeError):
+            evaluate_key_rate(flume_params, "0.5", 0.1)
 
     def test_bits_per_second(self, dark_only_params):
         res = evaluate_key_rate(dark_only_params.at_length(10.5), 0.5, 0.1)
