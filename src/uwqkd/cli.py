@@ -25,6 +25,7 @@ from .config import load_config
 from .optimize import DeadChannelError, RatePoint, distance_sweep, max_secure_distance, optimize_mu_nu
 from .qstate import PolLabel
 from .tomography import (
+    MODE_KINDS,
     AberrationSpec,
     GridSpec,
     StokesField,
@@ -254,7 +255,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_montecarlo)
 
     sp = sub.add_parser("tomography", help="vector mode synthesis and Stokes reconstruction")
-    sp.add_argument("--kind", required=True, choices=("radial", "azimuthal", "vortex_cw", "vortex_ccw"))
+    sp.add_argument("--kind", required=True, choices=MODE_KINDS)
     sp.add_argument("--n", type=int, default=256)
     sp.add_argument("--extent", type=float, default=8.0)
     sp.add_argument("--tip", type=float, default=0.0)

@@ -44,6 +44,8 @@ def _check_type(key: str, value) -> None:
 
 
 def config_from_dict(d: dict) -> RunConfig:
+    if not isinstance(d, dict):
+        raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
     unknown = set(d) - set(_KEY_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -33,14 +33,16 @@ class PolLabel(enum.Enum):
     R = "R"
 
 
-# Amplitudes of each label in the circular {L, R} basis.
-_CIRCULAR_DECOMP = {
-    PolLabel.H: {"L": 1 / math.sqrt(2), "R": 1 / math.sqrt(2)},
-    PolLabel.V: {"L": -1j / math.sqrt(2), "R": 1j / math.sqrt(2)},
-    PolLabel.D: {"L": (1 - 1j) / 2, "R": (1 + 1j) / 2},
-    PolLabel.A: {"L": (1 + 1j) / 2, "R": (1 - 1j) / 2},
-    PolLabel.L: {"L": 1.0 + 0j},
-    PolLabel.R: {"R": 1.0 + 0j},
+# (H, V) Jones vector of each label: the one statement of the convention
+# above.  The circular amplitudes, the analyzer bras and the sampled fields
+# of :mod:`uwqkd.tomography` all derive from it.
+_JONES = {
+    PolLabel.H: (1.0, 0.0),
+    PolLabel.V: (0.0, 1.0),
+    PolLabel.D: (1 / math.sqrt(2), 1 / math.sqrt(2)),
+    PolLabel.A: (1 / math.sqrt(2), -1 / math.sqrt(2)),
+    PolLabel.L: (1 / math.sqrt(2), 1j / math.sqrt(2)),
+    PolLabel.R: (1 / math.sqrt(2), -1j / math.sqrt(2)),
 }
 
 
@@ -63,7 +65,7 @@ class SpinOrbitState:
             if a != 0:
                 amps[(pol, int(ell))] = a
         norm2 = sum(abs(a) ** 2 for a in amps.values())
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not abs(norm2 - 1.0) <= NORM_TOL:  # written so that NaN fails it
             raise ValueError(f"state not normalized: sum |a|^2 = {norm2!r}")
         self._amps = amps
 
@@ -85,8 +87,11 @@ class SpinOrbitState:
 
 def make_pol_state(label: PolLabel, ell: int = 0) -> SpinOrbitState:
     """Pure polarization state in a single OAM mode (ell = 0 by default)."""
-    label = PolLabel(label)
-    return SpinOrbitState({(pol, ell): a for pol, a in _CIRCULAR_DECOMP[label].items()})
+    jones = _JONES[PolLabel(label)]
+    # <pol|label> for pol in {L, R}: the conjugated circular Jones vector dotted with the label's
+    return SpinOrbitState({
+        (pol, ell): sum(c.conjugate() * x for c, x in zip(_JONES[PolLabel(pol)], jones)) for pol in ("L", "R")
+    })
 
 
 def superpose(terms: list[tuple[complex, SpinOrbitState]]) -> SpinOrbitState:
@@ -153,7 +158,7 @@ class ProbMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (len(self.row_labels), len(self.col_labels)):
             raise ValueError("matrix shape does not match labels")
-        if np.any(v < -1e-12) or np.any(v > 1 + 1e-12):
+        if not np.all((v >= -1e-12) & (v <= 1 + 1e-12)):  # written so that NaN fails it
             raise ValueError("probabilities must lie in [0,1]")
         object.__setattr__(self, "values", v)
 

@@ -8,8 +8,9 @@ Zernike terms (tip, tilt, both astigmatisms, defocus); the screen is common
 to both polarization components, so it never changes the local
 polarization, only the phase.
 
-Stokes sign conventions match the state algebra in :mod:`uwqkd.qstate`:
-s1 = +1 for H, s2 = +1 for D = (H+V)/sqrt(2), s3 = +1 for L.
+Jones vectors, analyzer bras and mode coefficients are read from
+:mod:`uwqkd.qstate`, so the Stokes signs follow its state algebra by
+construction: s1 = +1 for H, s2 = +1 for D = (H+V)/sqrt(2), s3 = +1 for L.
 """
 
 from __future__ import annotations
@@ -19,23 +20,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .qstate import PolLabel
+from .qstate import _JONES, PolLabel, vector_mub_states
 
-# Analyzer bras as rows (conjugated Jones vectors) acting on (Eh, Ev).
-_ANALYZER_BRA = {
-    PolLabel.H: (1.0, 0.0),
-    PolLabel.V: (0.0, 1.0),
-    PolLabel.D: (1 / math.sqrt(2), 1 / math.sqrt(2)),
-    PolLabel.A: (1 / math.sqrt(2), -1 / math.sqrt(2)),
-    PolLabel.L: (1 / math.sqrt(2), -1j / math.sqrt(2)),
-    PolLabel.R: (1 / math.sqrt(2), 1j / math.sqrt(2)),
-}
-
-# Jones vectors of the circular basis kets (columns), L = (H + iV)/sqrt(2).
-_JONES_L = np.array([1.0, 1j]) / math.sqrt(2)
-_JONES_R = np.array([1.0, -1j]) / math.sqrt(2)
-
-MODE_KINDS = ("radial", "azimuthal", "vortex_cw", "vortex_ccw")
+MODE_KINDS = ("radial", "azimuthal", "vortex_cw", "vortex_ccw")  # the MUB states psi + phi, in order
 
 _VALID_FRACTION = 1e-3  # Stokes pixels need more than this fraction of the peak intensity
 
@@ -126,27 +113,27 @@ def _lg_envelope(r: np.ndarray, phi: np.ndarray, ell: int) -> np.ndarray:
     return (r * math.sqrt(2)) ** abs(ell) * np.exp(-(r**2)) * np.exp(1j * ell * phi)
 
 
-def _normalize(eh: np.ndarray, ev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _norm(eh: np.ndarray, ev: np.ndarray) -> float:
     norm = math.sqrt(float(np.sum(np.abs(eh) ** 2 + np.abs(ev) ** 2)))
-    if norm == 0:
-        raise ValueError("zero field")
-    return eh / norm, ev / norm
+    if not 0 < norm < math.inf:  # written so that NaN fails it
+        raise ValueError(f"zero or non-finite field: norm {norm!r}")
+    return norm
 
-# Spin-orbit coefficients (c_L on LG_-1, c_R on LG_+1) for each mode kind.
-_MODE_COEFFS = {
-    "radial": (1.0, 1.0),
-    "azimuthal": (1.0, -1.0),
-    "vortex_cw": (1.0, 1j),
-    "vortex_ccw": (1.0, -1j),
-}
+
+def _normalize(eh: np.ndarray, ev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    norm = _norm(eh, ev)
+    return eh / norm, ev / norm
 
 
 def make_vector_mode(kind: str, grid: GridSpec | None = None) -> VectorField:
-    """Sample a vector vortex mode (c_L |L,-1> + c_R |R,+1>)/sqrt(2) on the grid."""
-    if kind not in _MODE_COEFFS:
+    """Sample the vector vortex mode of one MUB state of :func:`uwqkd.qstate.vector_mub_states`."""
+    if kind not in MODE_KINDS:
         raise ValueError(f"unknown mode kind {kind!r}; expected one of {MODE_KINDS}")
-    c_l, c_r = _MODE_COEFFS[kind]
-    return make_spin_orbit_field({("L", -1): c_l, ("R", +1): c_r}, grid)
+    psi, phi = vector_mub_states()
+    state = (psi + phi)[MODE_KINDS.index(kind)]
+    # scaled to <L,-1| = 1, an exact division that leaves the coefficients 1, +-1, +-1j
+    c_l = state.amplitude("L", -1)
+    return make_spin_orbit_field({k: a / c_l for k, a in state.amplitudes.items()}, grid)
 
 
 def make_spin_orbit_field(
@@ -160,7 +147,7 @@ def make_spin_orbit_field(
     for (pol, ell), a in amplitudes.items():
         if pol not in ("L", "R"):
             raise ValueError(f"polarization label must be 'L' or 'R', got {pol!r}")
-        jones = _JONES_L if pol == "L" else _JONES_R
+        jones = _JONES[PolLabel(pol)]
         env = _lg_envelope(r, phi, ell)
         eh += a * env * jones[0]
         ev += a * env * jones[1]
@@ -192,7 +179,7 @@ def apply_aberration(f: VectorField, spec: AberrationSpec) -> VectorField:
 
 def project_intensity(f: VectorField, analyzer: PolLabel) -> np.ndarray:
     """Per-pixel intensity after projecting on one analyzer setting."""
-    bh, bv = _ANALYZER_BRA[PolLabel(analyzer)]
+    bh, bv = (c.conjugate() for c in _JONES[PolLabel(analyzer)])
     return np.abs(bh * f.eh + bv * f.ev) ** 2
 
 
@@ -204,7 +191,8 @@ def reconstruct_stokes(intensities: dict[PolLabel, np.ndarray]) -> StokesField:
     """Pixelwise reduced Stokes parameters from the six analyzer intensities.
 
     Pixels with total intensity at or below ``_VALID_FRACTION`` x peak are
-    marked invalid and their Stokes entries zeroed.
+    marked invalid and their Stokes entries zeroed.  Non-finite intensities
+    are rejected.
     """
     grids = {PolLabel(k): np.asarray(v, dtype=float) for k, v in intensities.items()}
     missing = [lab for lab in PolLabel if lab not in grids]
@@ -213,14 +201,14 @@ def reconstruct_stokes(intensities: dict[PolLabel, np.ndarray]) -> StokesField:
     shape = grids[PolLabel.H].shape
     if any(g.shape != shape for g in grids.values()):
         raise ValueError("intensity grids must share one shape")
+    if not all(np.isfinite(g).all() for g in grids.values()):
+        raise ValueError("analyzer intensities must be finite")
     i_tot = grids[PolLabel.H] + grids[PolLabel.V]
     valid = i_tot > _VALID_FRACTION * float(i_tot.max())
-    safe = np.where(valid, i_tot, 1.0)
-    s1 = np.where(valid, (grids[PolLabel.H] - grids[PolLabel.V]) / safe, 0.0)
-    safe_da = np.where(valid, grids[PolLabel.D] + grids[PolLabel.A], 1.0)
-    s2 = np.where(valid, (grids[PolLabel.D] - grids[PolLabel.A]) / safe_da, 0.0)
-    safe_lr = np.where(valid, grids[PolLabel.L] + grids[PolLabel.R], 1.0)
-    s3 = np.where(valid, (grids[PolLabel.L] - grids[PolLabel.R]) / safe_lr, 0.0)
+    s1, s2, s3 = (
+        np.where(valid, (grids[a] - grids[b]) / np.where(valid, grids[a] + grids[b], 1.0), 0.0)
+        for a, b in ((PolLabel.H, PolLabel.V), (PolLabel.D, PolLabel.A), (PolLabel.L, PolLabel.R))
+    )
     return StokesField(s1=s1, s2=s2, s3=s3, intensity=i_tot, valid=valid)
 
 
@@ -232,8 +220,8 @@ def polarization_ellipse(s: tuple[float, float, float]) -> tuple[float, float]:
     """
     s1, s2, s3 = s
     norm = math.sqrt(s1**2 + s2**2 + s3**2)
-    if norm == 0:
-        raise ValueError("undefined polarization: zero Stokes vector")
+    if not 0 < norm < math.inf:  # written so that NaN fails it
+        raise ValueError(f"undefined polarization: zero or non-finite Stokes vector {s!r}")
     orientation = 0.5 * math.atan2(s2, s1)
     if orientation <= -math.pi / 2:
         orientation += math.pi
@@ -245,7 +233,5 @@ def mode_overlap(a: VectorField, b: VectorField) -> float:
     """Fidelity |<a|b>|^2 of two fields, each normalized over the grid."""
     if a.eh.shape != b.eh.shape:
         raise ValueError("fields must share one grid shape")
-    na = math.sqrt(a.total_intensity())
-    nb = math.sqrt(b.total_intensity())
-    inner = np.sum(np.conj(a.eh) * b.eh + np.conj(a.ev) * b.ev) / (na * nb)
+    inner = np.sum(np.conj(a.eh) * b.eh + np.conj(a.ev) * b.ev) / (_norm(a.eh, a.ev) * _norm(b.eh, b.ev))
     return min(1.0, float(abs(inner) ** 2))

@@ -102,6 +102,11 @@ class TestConfig:
             ('{"nu_min": 2.0}', "mu_max"),
             ('{"dark_rate_hz": 3e9}', "detection_window_s"),
             ('{"pulse_rate_hz": 2.2250738585072014e-308}', "dark_rate_hz"),
+            # a top level that is not an object
+            ("5", "config must be a JSON object"),
+            ("null", "config must be a JSON object"),
+            ('"abc"', "config must be a JSON object"),
+            ("[]", "config must be a JSON object"),
         ],
     )
     def test_bad_value_exits_1(self, text, key, tmp_path, capsys):

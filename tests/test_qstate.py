@@ -49,6 +49,24 @@ class TestConstruction:
             SpinOrbitState({("H", 0): 1.0})
 
 
+class TestNonFiniteRejected:
+    # NaN must not read as a normalized state or a certain detection
+    def test_nan_amplitude(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            SpinOrbitState({("L", 0): math.nan})
+
+    @pytest.mark.parametrize("c", [math.nan, complex(0, math.nan)])
+    def test_superpose_nan_coefficient(self, c):
+        with pytest.raises(ValueError):
+            superpose([(c, make_pol_state(PolLabel.H)), (1, make_pol_state(PolLabel.V))])
+
+    def test_prob_matrix_nan_value(self):
+        from uwqkd.qstate import ProbMatrix
+
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            ProbMatrix(("s0",), ("p0", "p1"), np.array([[0.5, math.nan]]))
+
+
 class TestLinearMub:
     def test_cross_basis_overlaps_half(self):
         hv = [make_pol_state(PolLabel.H), make_pol_state(PolLabel.V)]

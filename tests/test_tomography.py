@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from uwqkd.qstate import PolLabel
+from uwqkd.qstate import PolLabel, detection_matrix, make_pol_state, overlap_prob, vector_mub_states
 from uwqkd.tomography import (
+    MODE_KINDS,
     AberrationSpec,
     GridSpec,
+    VectorField,
     apply_aberration,
     make_spin_orbit_field,
     make_vector_mode,
@@ -155,6 +157,15 @@ class TestStokes:
         with pytest.raises(ValueError):
             reconstruct_stokes(i)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("label", [PolLabel.H, PolLabel.A])
+    def test_non_finite_intensity_rejected(self, label, value):
+        i = project_all(make_vector_mode("radial", GRID))
+        i[label] = i[label].copy()
+        i[label][10, 20] = value
+        with pytest.raises(ValueError, match="finite"):
+            reconstruct_stokes(i)
+
 
 class TestAberration:
     def test_zero_coefficients_identity(self):
@@ -247,6 +258,11 @@ class TestEllipse:
         with pytest.raises(ValueError):
             polarization_ellipse((0, 0, 0))
 
+    @pytest.mark.parametrize("s", [(math.nan, 0, 0), (0, 0, math.nan), (math.inf, 0, 0)])
+    def test_non_finite_rejected(self, s):
+        with pytest.raises(ValueError, match="undefined polarization"):
+            polarization_ellipse(s)
+
 
 class TestOverlap:
     def test_self_overlap(self):
@@ -268,6 +284,37 @@ class TestOverlap:
         b = make_vector_mode("radial", GridSpec(n=64, extent_waists=8.0))
         with pytest.raises(ValueError):
             mode_overlap(a, b)
+
+    @pytest.mark.parametrize("value", [0.0, math.nan])
+    def test_zero_or_nan_field_rejected(self, value):
+        # a fidelity of 1.0 against an empty or NaN field would read as a perfect channel
+        a = make_vector_mode("radial", GRID)
+        bad = VectorField(np.full_like(a.eh, value), np.full_like(a.ev, value), GRID)
+        for x, y in ((a, bad), (bad, a)):
+            with pytest.raises(ValueError, match="field"):
+                mode_overlap(x, y)
+
+
+class TestConventionAgreement:
+    """The sampled fields and the state algebra share one Jones table; check it end to end."""
+
+    def test_vector_mub_detection_matrix_two_ways(self):
+        grid = GridSpec(n=64, extent_waists=8.0)
+        fields = [make_vector_mode(kind, grid) for kind in MODE_KINDS]
+        sampled = np.array([[mode_overlap(a, b) for b in fields] for a in fields])
+        psi, phi = vector_mub_states()
+        algebra = detection_matrix(psi + phi, psi + phi).values
+        assert np.max(np.abs(sampled - algebra)) <= 1e-12
+
+    @pytest.mark.parametrize("ell", [-1, 0, 1])
+    @pytest.mark.parametrize("label", list(PolLabel))
+    def test_analyzer_fraction_is_overlap_prob(self, label, ell):
+        grid = GridSpec(n=32, extent_waists=8.0)
+        sent = make_pol_state(label, ell)
+        f = make_spin_orbit_field(sent.amplitudes, grid)
+        for analyzer in PolLabel:
+            fraction = float(project_intensity(f, analyzer).sum()) / f.total_intensity()
+            assert abs(fraction - overlap_prob(make_pol_state(analyzer, ell), sent)) <= 1e-12
 
 
 def test_grid_invariants():
