@@ -6,6 +6,7 @@ and QBER against the Poisson-photon-number model, in units of standard errors.
 """
 
 import argparse
+import math
 import sys
 
 from uwqkd.channel import ChannelParams, gain_stats
@@ -19,6 +20,10 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--e-det", type=float, default=0.0027)
     args = ap.parse_args(argv)
+    if not 0 < args.mu < math.inf:
+        ap.error(f"--mu must be finite and > 0, got {args.mu}")
+    if args.n_pulses < 1:
+        ap.error(f"--n-pulses must be >= 1, got {args.n_pulses}")
 
     base = ChannelParams(e_det=args.e_det)
     print(f"{'L [m]':>6} {'Q_hat':>10} {'Q_model':>10} {'dQ/SE':>7} "
@@ -33,8 +38,9 @@ def main(argv=None):
         de = abs(s.e_hat - e_m) / s.e_se if s.e_se else 0.0
         band = within_model_band(s, p, args.mu)
         ok &= band
+        e_hat = "n/a" if s.e_hat is None else f"{s.e_hat:.4f}"  # nothing sifted
         print(f"{length:6.1f} {s.q_hat:10.3e} {q_m:10.3e} {dq:7.2f} "
-              f"{s.e_hat:8.4f} {e_m:8.4f} {de:7.2f}  {'ok' if band else 'FAIL'}")
+              f"{e_hat:>8} {e_m:8.4f} {de:7.2f}  {'ok' if band else 'FAIL'}")
     print("all within band" if ok else "DISAGREEMENT FOUND")
     return 0 if ok else 2
 

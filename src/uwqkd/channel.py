@@ -13,6 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _is_int(x) -> bool:
+    """A count or a seed: a Python or numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 class ZeroGainError(ValueError):
     """No clicks at all (no background and no signal), so the QBER is undefined."""
 

@@ -10,11 +10,10 @@ Pulses are simulated in blocks of 2**16, each block drawing from its own
 stream derived from the master seed.  The blocks run on
 min(usable CPUs, 4, number of blocks) threads, the calling thread included;
 numpy releases the interpreter lock for the draws and the reductions.  Each
-thread takes the next block in turn, and the calling thread makes the
-blocks' generators a few per thread ahead of the next one taken, so the
-number alive at once does not grow with the session.  Each
-block's counts are integers and are summed exactly, so results are
-reproducible and independent of the number of threads.
+thread takes the next block and makes its generator under one lock, so each
+thread holds one generator at a time.  Each block's counts are integers and
+are summed exactly, so results are reproducible and independent of the
+number of threads.
 """
 
 from __future__ import annotations
@@ -26,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, _gain_qber, background_yield, transmittance
+from .channel import ChannelParams, _gain_qber, _is_int, background_yield, transmittance
 
 BLOCK_SIZE = 2**16
 _MAX_THREADS = 4
-_ROUNDS_AHEAD = 2  # generators made ahead of the next block to be taken, per worker
 _BAND_SE = 4.0  # half-width of within_model_band's band, in standard errors
 
 
@@ -55,10 +53,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _block_counts(rng: np.random.Generator, size: int, mu: float, eta: float, y0: float,
@@ -92,46 +86,32 @@ def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> S
 
     n_blocks = (n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
     n_workers = min(_usable_cpus(), _MAX_THREADS, n_blocks)
-    # every generator is made on the calling thread, so a tracer wrapping _block_rng counts
-    # blocks without sharing a counter across threads; it makes them each time it takes a
-    # block, up to `ahead` past the next block to be taken, so few are alive at once
-    ahead = _ROUNDS_AHEAD * n_workers
-    rngs: dict[int, np.random.Generator] = {}  # made and not yet taken, by block
-    made = taken = 0  # blocks whose generator has been made; blocks handed to a worker
-    ready = threading.Condition()
+    # a block is taken and its generator made under the lock, so _block_rng runs once per
+    # block, in block order, one call at a time; the generator is dropped after its block
+    blocks = iter(range(n_blocks))
+    lock = threading.Lock()
     block_counts: list[tuple[int, int, int] | None] = [None] * n_blocks
     failures: list[BaseException] = []
 
-    def work(w: int) -> None:
+    def work() -> None:
         # each worker takes the next block until none is left; all stop once one has failed
-        nonlocal made, taken
         try:
             while True:
-                with ready:
-                    b, taken = taken, taken + 1
-                    if w == 0:
-                        while made < min(n_blocks, taken + ahead):
-                            rngs[made] = _block_rng(seed, made)
-                            made += 1
-                        ready.notify_all()
-                    if b >= n_blocks:
+                with lock:
+                    b = None if failures else next(blocks, None)
+                    if b is None:
                         return
-                    ready.wait_for(lambda: made > b or failures)
-                    if failures:
-                        return
-                    rng = rngs.pop(b)
+                    rng = _block_rng(seed, b)
                 size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
                 block_counts[b] = _block_counts(rng, size, mu, eta, y0, p.e_det)
                 del rng
         except BaseException as exc:
-            with ready:
-                failures.append(exc)
-                ready.notify_all()
+            failures.append(exc)
 
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, n_workers)]
+    threads = [threading.Thread(target=work) for _ in range(n_workers - 1)]
     for t in threads:
         t.start()
-    work(0)
+    work()
     for t in threads:
         t.join()
     if failures:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, ZeroGainError
+from .channel import ChannelParams, ZeroGainError, _is_int
 from .decoy import (
     KeyRateResult,
     NonFiniteBoundsError,
@@ -63,13 +63,13 @@ class OptimizerConfig:
     def __post_init__(self):
         if not 0 < self.nu_min < math.inf:
             raise ValueError(f"nu_min must be finite and > 0, got {self.nu_min}")
-        if self.coarse_grid < 8:
-            raise ValueError("coarse_grid must be >= 8 points per axis")
+        if not (_is_int(self.coarse_grid) and self.coarse_grid >= 8):
+            raise ValueError(f"coarse_grid must be an int >= 8 points per axis, got {self.coarse_grid!r}")
         # an empty search box would give a backwards axis and a mu above mu_max
         if not 2 * self.nu_min < self.mu_max < math.inf:
             raise ValueError(f"mu_max must be finite and > 2 * nu_min = {2 * self.nu_min}, got {self.mu_max}")
-        if self.refine_iterations < 0:
-            raise ValueError("refine_iterations must be >= 0")
+        if not (_is_int(self.refine_iterations) and self.refine_iterations >= 0):
+            raise ValueError(f"refine_iterations must be an int >= 0, got {self.refine_iterations!r}")
 
 
 @dataclass(frozen=True)

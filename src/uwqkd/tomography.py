@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .channel import _is_int
 from .qstate import _JONES, PolLabel, vector_mub_states
 
 MODE_KINDS = ("radial", "azimuthal", "vortex_cw", "vortex_ccw")  # the MUB states psi + phi, in order
@@ -33,8 +34,8 @@ class GridSpec:
     extent_waists: float = 8.0
 
     def __post_init__(self):
-        if self.n < 32:
-            raise ValueError("grid must be at least 32x32")
+        if not (_is_int(self.n) and self.n >= 32):
+            raise ValueError(f"n must be an int >= 32 (a grid of at least 32x32), got {self.n!r}")
         if not (math.isfinite(self.extent_waists) and self.extent_waists >= 4):
             raise ValueError(f"extent_waists must be finite and >= 4, got {self.extent_waists!r}")
 
@@ -93,6 +94,8 @@ class AberrationSpec:
         for name, v in (("length_m", length_m), ("rms_rad_per_m", rms_rad_per_m)):
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+        if not (_is_int(seed) and seed >= 0):
+            raise ValueError(f"seed must be a non-negative int, got {seed!r}")
         rng = np.random.default_rng(seed)
         sigma = rms_rad_per_m * length_m
         c = rng.normal(0.0, sigma, 5) if sigma > 0 else np.zeros(5)
@@ -191,8 +194,8 @@ def reconstruct_stokes(intensities: dict[PolLabel, np.ndarray]) -> StokesField:
     """Pixelwise reduced Stokes parameters from the six analyzer intensities.
 
     Pixels with total intensity at or below ``_VALID_FRACTION`` x peak are
-    marked invalid and their Stokes entries zeroed.  Non-finite intensities
-    are rejected.
+    marked invalid and their Stokes entries zeroed.  Non-finite or negative
+    intensities are rejected.
     """
     grids = {PolLabel(k): np.asarray(v, dtype=float) for k, v in intensities.items()}
     missing = [lab for lab in PolLabel if lab not in grids]
@@ -201,8 +204,8 @@ def reconstruct_stokes(intensities: dict[PolLabel, np.ndarray]) -> StokesField:
     shape = grids[PolLabel.H].shape
     if any(g.shape != shape for g in grids.values()):
         raise ValueError("intensity grids must share one shape")
-    if not all(np.isfinite(g).all() for g in grids.values()):
-        raise ValueError("analyzer intensities must be finite")
+    if not all((np.isfinite(g) & (g >= 0)).all() for g in grids.values()):
+        raise ValueError("analyzer intensities must be finite and >= 0")
     i_tot = grids[PolLabel.H] + grids[PolLabel.V]
     valid = i_tot > _VALID_FRACTION * float(i_tot.max())
     s1, s2, s3 = (

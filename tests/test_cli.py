@@ -308,6 +308,7 @@ class TestTomography:
             (["--extent", "nan"], "extent_waists"),
             (["--tip", "nan"], "tip"),
             (["--defocus", "inf"], "defocus"),
+            (["--random-aberration", "--length", "5", "--seed", "-1"], "seed"),
         ],
     )
     def test_bad_input_exits_1(self, flags, field, tmp_path, capsys):

@@ -197,23 +197,35 @@ class TestThreadedBlocks:
         p = ChannelParams().at_length(10.5)
         expected = simulate_session(p, 0.5, 10**7, 17)
         real = montecarlo._block_rng
-        calling, live, peak, blocks = threading.get_ident(), [], [0], []
+        calls, inside, live, peak, blocks = [0], [0], [], [0], []
 
         class Tracked(np.random.Generator):
             pass  # a Python subclass, so that it takes weak references
 
         def tracked(seed, b):
-            assert threading.get_ident() == calling
+            # a tracer's unlocked `+= 1`, with the read and the write far apart: a second
+            # thread inside at once would trip the assert or lose a count
+            n = calls[0]
+            inside[0] += 1
+            assert inside[0] == 1, "_block_rng entered on two threads at once"
             blocks.append(b)
             rng = Tracked(real(seed, b).bit_generator)
             live.append(weakref.ref(rng))
             peak[0] = max(peak[0], sum(r() is not None for r in live))
+            inside[0] -= 1
+            calls[0] = n + 1
             return rng
 
         monkeypatch.setattr(montecarlo, "_block_rng", tracked)
-        assert simulate_session(p, 0.5, 10**7, 17) == expected
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert simulate_session(p, 0.5, 10**7, 17) == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls[0] == 153
         assert blocks == list(range(153))
-        assert peak[0] <= 3 * workers
+        assert peak[0] <= workers
 
     @pytest.mark.parametrize("bad_block", [0, 1, 6])
     def test_failing_block_raises(self, monkeypatch, bad_block):

@@ -83,6 +83,11 @@ class TestConfig:
             # an empty search box: the coarse mu axis starts at 2 nu_min
             ({"mu_max": 2e-4}, "mu_max"),
             ({"nu_min": 0.5}, "mu_max"),
+            # counts must be ints: 1.5 passes would run 5 zoom rounds, and a float grid
+            # would fail later inside np.geomspace
+            ({"refine_iterations": 1.5}, "refine_iterations"),
+            ({"refine_iterations": True}, "refine_iterations"),
+            ({"coarse_grid": 64.0}, "coarse_grid"),
         ]
         for kwargs, field in bad:
             with pytest.raises(ValueError, match=field):

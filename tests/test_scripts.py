@@ -1,6 +1,7 @@
 """Each script under scripts/ runs to completion at a reduced size."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,8 @@ ROOT = Path(__file__).resolve().parent.parent
         ("mc_crosscheck.py", ["--n-pulses", "200000"]),
         ("rate_distance.py", ["--l-max", "10", "--step", "5", "--out", "{tmp}/rate_distance.csv"]),
         ("tomography_demo.py", ["--n", "32"]),
+        # no length sifts anything, so there is no QBER to print
+        ("mc_crosscheck.py", ["--n-pulses", "1000", "--mu", "0.001"]),
     ],
 )
 def test_script_runs(script, args, tmp_path):
@@ -26,3 +29,12 @@ def test_script_runs(script, args, tmp_path):
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+@pytest.mark.parametrize("args", [["--mu", "0"], ["--mu", "-0.5"], ["--mu", "nan"], ["--n-pulses", "0"]])
+def test_mc_crosscheck_bad_input_is_a_usage_error(args, capsys):
+    main = runpy.run_path(str(ROOT / "scripts" / "mc_crosscheck.py"))["main"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"error: {args[0]} must be" in capsys.readouterr().err

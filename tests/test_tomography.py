@@ -166,6 +166,15 @@ class TestStokes:
         with pytest.raises(ValueError, match="finite"):
             reconstruct_stokes(i)
 
+    def test_negative_intensity_rejected(self):
+        # D = -0.4 against 0.5 elsewhere would give s2 = -9 at every pixel
+        i = {lab: np.full((4, 4), 0.5) for lab in PolLabel}
+        i[PolLabel.D] = np.full((4, 4), -0.4)
+        with pytest.raises(ValueError, match=">= 0"):
+            reconstruct_stokes(i)
+        i[PolLabel.D] = np.full((4, 4), -0.0)  # a negative zero is not negative
+        assert reconstruct_stokes(i).valid.all()
+
 
 class TestAberration:
     def test_zero_coefficients_identity(self):
@@ -228,6 +237,11 @@ class TestAberration:
     def test_random_bad_scale_rejected(self, length, rms, field):
         with pytest.raises(ValueError, match=field):
             AberrationSpec.random(0, length, rms)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_random_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            AberrationSpec.random(seed, 5.0, 0.05)
 
     def test_random_zero_scale_is_flat(self):
         assert AberrationSpec.random(3, 0.0, 0.05) == AberrationSpec()
@@ -322,6 +336,9 @@ def test_grid_invariants():
         GridSpec(n=16)
     with pytest.raises(ValueError):
         GridSpec(n=64, extent_waists=2.0)
+    for n in (64.5, 64.0, True):
+        with pytest.raises(ValueError, match=r"^n must be an int"):
+            GridSpec(n=n)
 
 
 @pytest.mark.parametrize(
