@@ -150,29 +150,57 @@ def write_pgm(path: str | Path, arr: np.ndarray) -> None:
         f.write(scaled.tobytes())
 
 
+_CHUNK_ROWS = 2**14  # Stokes CSV table rows formatted per chunk, bounding the strings held
+
+
+def _format_distinct(values: np.ndarray, fmt: str | None = None) -> np.ndarray:
+    """The text of each element of the 1-D ``values``, as an object array.
+
+    Each distinct bit pattern is formatted once: with the printf format ``fmt``
+    (``%`` of Python's float or int), or with ``json.dumps`` when ``fmt`` is None.
+    Deduplicating bits rather than values keeps -0.0 apart from 0.0.
+    """
+    distinct, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    v = distinct.view(values.dtype).tolist()
+    text = json.dumps(v)[1:-1] if fmt is None else ((fmt + "\0") * len(v) % tuple(v))[:-1]
+    del v  # the strings below are the largest temporaries
+    return np.array(text.split(", " if fmt is None else "\0"), dtype=object)[inverse]
+
+
 def _write_stokes_csv(path: str, grid: GridSpec, stokes: StokesField) -> None:
-    """The ``np.savetxt`` table byte for byte, formatted one block of ``grid.n`` rows per ``%``."""
-    cols = (*grid.axes(), stokes.intensity, stokes.s1, stokes.s2, stokes.s3, stokes.valid)
-    table = np.column_stack([c.ravel() for c in cols])
+    """The ``np.savetxt`` table byte for byte (``%.9g`` x6, then ``%d``, comma-separated).
+
+    ``_CHUNK_ROWS`` rows at a time, each column's distinct values are formatted
+    once, separators included, and the chunk is written as one string.
+    """
+    cols = [c.ravel() for c in (*grid.axes(), stokes.intensity, stokes.s1, stokes.s2, stokes.s3,
+                                 stokes.valid)]
+    fmts = ["%.9g,"] * 6 + ["%d\n"]
     with open(path, "w") as f:
         f.write("x,y,intensity,s1,s2,s3,valid\n")
-        for start in range(0, len(table), grid.n):
-            rows = table[start:start + grid.n]
-            f.write((("%.9g," * 6 + "%d\n") * len(rows)) % tuple(rows.ravel().tolist()))
+        for start in range(0, len(cols[0]), _CHUNK_ROWS):
+            table = np.column_stack([_format_distinct(c[start:start + _CHUNK_ROWS], fmt)
+                                     for c, fmt in zip(cols, fmts)])
+            f.write("".join(table.ravel().tolist()))
 
 
 def _write_json_object(path: str, payload: dict) -> None:
     r"""``json.dumps(payload) + "\n"`` byte for byte, one key at a time.
 
-    An array value becomes a Python list only when its key is written, so at
-    most one map is held as a list.
+    A 2-D array value is formatted with each distinct value once over the whole
+    map, and written one row at a time, so no map-sized string is built.
     """
     with open(path, "w") as f:
         f.write("{")
         for i, (key, value) in enumerate(payload.items()):
+            f.write((", " if i else "") + json.dumps(key) + ": ")
             if isinstance(value, np.ndarray):
-                value = value.tolist()
-            f.write((", " if i else "") + json.dumps(key) + ": " + json.dumps(value))
+                f.write("[")
+                f.writelines((", [" if j else "[") + ", ".join(row.tolist()) + "]" for j, row
+                             in enumerate(_format_distinct(value.ravel()).reshape(value.shape)))
+                f.write("]")
+            else:
+                f.write(json.dumps(value))
         f.write("}\n")
 
 

@@ -70,6 +70,9 @@ class OptimizerConfig:
             raise ValueError(f"mu_max must be finite and > 2 * nu_min = {2 * self.nu_min}, got {self.mu_max}")
         if not (_is_int(self.refine_iterations) and self.refine_iterations >= 0):
             raise ValueError(f"refine_iterations must be an int >= 0, got {self.refine_iterations!r}")
+        # numpy integers are stored as ints, so the record always serializes to JSON
+        for name in ("coarse_grid", "refine_iterations"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ class GridSpec:
     def __post_init__(self):
         if not (_is_int(self.n) and self.n >= 32):
             raise ValueError(f"n must be an int >= 32 (a grid of at least 32x32), got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))  # a numpy integer is stored as an int
         if not (math.isfinite(self.extent_waists) and self.extent_waists >= 4):
             raise ValueError(f"extent_waists must be finite and >= 4, got {self.extent_waists!r}")
 
@@ -195,7 +196,7 @@ def reconstruct_stokes(intensities: dict[PolLabel, np.ndarray]) -> StokesField:
 
     Pixels with total intensity at or below ``_VALID_FRACTION`` x peak are
     marked invalid and their Stokes entries zeroed.  Non-finite or negative
-    intensities are rejected.
+    intensities are rejected, and so are frames that are zero everywhere.
     """
     grids = {PolLabel(k): np.asarray(v, dtype=float) for k, v in intensities.items()}
     missing = [lab for lab in PolLabel if lab not in grids]
@@ -207,7 +208,10 @@ def reconstruct_stokes(intensities: dict[PolLabel, np.ndarray]) -> StokesField:
     if not all((np.isfinite(g) & (g >= 0)).all() for g in grids.values()):
         raise ValueError("analyzer intensities must be finite and >= 0")
     i_tot = grids[PolLabel.H] + grids[PolLabel.V]
-    valid = i_tot > _VALID_FRACTION * float(i_tot.max())
+    peak = float(i_tot.max())
+    if peak == 0:
+        raise ValueError("no pixel has intensity: H + V is zero everywhere")
+    valid = i_tot > _VALID_FRACTION * peak
     s1, s2, s3 = (
         np.where(valid, (grids[a] - grids[b]) / np.where(valid, grids[a] + grids[b], 1.0), 0.0)
         for a, b in ((PolLabel.H, PolLabel.V), (PolLabel.D, PolLabel.A), (PolLabel.L, PolLabel.R))

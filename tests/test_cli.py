@@ -2,6 +2,7 @@ import importlib
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from uwqkd.channel import ChannelParams
@@ -60,6 +61,14 @@ class TestConfig:
         save_config(cfg, path)
         loaded = load_config(path)
         assert config_to_dict(loaded) == config_to_dict(cfg)
+
+    def test_numpy_integer_counts_round_trip(self, tmp_path):
+        # numpy integer counts are stored as ints, which json.dumps can write
+        opt = OptimizerConfig(coarse_grid=np.int64(48), refine_iterations=np.int32(2))
+        assert type(opt.coarse_grid) is int and type(opt.refine_iterations) is int
+        path = tmp_path / "c.json"
+        save_config(RunConfig(ChannelParams(), opt), path)
+        assert load_config(path).optimizer == OptimizerConfig(coarse_grid=48, refine_iterations=2)
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         # tolerance and e0 were removed: old configs that set them fail loudly

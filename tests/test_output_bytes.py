@@ -8,10 +8,12 @@ used before it wrote whole arrays; the PGM hashes were recorded when
 decoded to the pixels the earlier plain P2 writer produced.
 
 The writers under test: ``write_pgm`` writes the P5 header and the scaled
-pixels as big-endian ``u2``; the Stokes CSV is formatted one block of n rows
-per ``%`` and must equal ``np.savetxt`` byte for byte; the Stokes JSON is
-written one key at a time and must equal ``json.dumps`` of the whole payload.
-The per-pixel CSV and PGM loops stay here as oracles.
+pixels as big-endian ``u2``; the Stokes CSV formats each distinct bit pattern
+of a column once per chunk of ``cli._CHUNK_ROWS`` rows and must equal
+``np.savetxt`` byte for byte, across chunk boundaries too; the Stokes JSON
+formats each distinct bit pattern of a map once, writes the map one row at a
+time, and must equal ``json.dumps`` of the whole payload.  Both must keep -0.0
+apart from 0.0.  The per-pixel CSV and PGM loops stay here as oracles.
 """
 
 from __future__ import annotations
@@ -196,18 +198,21 @@ def test_stokes_json_matches_whole_payload_dumps(n, planted_stokes, tmp_path):
 
 
 def test_stokes_csv_matches_savetxt(planted_stokes, tmp_path):
-    # 33 * 33 rows: not a multiple of any power of two
-    grid = GridSpec(n=33)
-    assert main(["tomography", "--kind", "radial", "--n", "33", *_ABERR,
-                 "--out", str(tmp_path / "t")]) == 0
-    (stokes,) = planted_stokes
-    cols = (*grid.axes(), stokes.intensity, stokes.s1, stokes.s2, stokes.s3, stokes.valid)
-    np.savetxt(tmp_path / "want.csv", np.column_stack([c.ravel() for c in cols]),
-               fmt=["%.9g"] * 6 + ["%d"], delimiter=",", header="x,y,intensity,s1,s2,s3,valid",
-               comments="")
-    got = (tmp_path / "t_stokes.csv").read_bytes()
-    assert got == (tmp_path / "want.csv").read_bytes()
-    assert b",-0," in got
+    # 33 * 33 rows: not a multiple of any power of two; 131 * 131 = 17161 rows: more
+    # than one of the writer's chunks of cli._CHUNK_ROWS, and not a multiple of one
+    assert 131 * 131 > uwqkd.cli._CHUNK_ROWS and 131 * 131 % uwqkd.cli._CHUNK_ROWS
+    for n in (33, 131):
+        grid = GridSpec(n=n)
+        assert main(["tomography", "--kind", "radial", "--n", str(n), *_ABERR,
+                     "--out", str(tmp_path / "t")]) == 0
+        stokes = planted_stokes[-1]
+        cols = (*grid.axes(), stokes.intensity, stokes.s1, stokes.s2, stokes.s3, stokes.valid)
+        np.savetxt(tmp_path / "want.csv", np.column_stack([c.ravel() for c in cols]),
+                   fmt=["%.9g"] * 6 + ["%d"], delimiter=",",
+                   header="x,y,intensity,s1,s2,s3,valid", comments="")
+        got = (tmp_path / "t_stokes.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes(), n
+        assert b",-0," in got
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])

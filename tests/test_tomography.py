@@ -175,6 +175,11 @@ class TestStokes:
         i[PolLabel.D] = np.full((4, 4), -0.0)  # a negative zero is not negative
         assert reconstruct_stokes(i).valid.all()
 
+    def test_all_zero_frames_rejected(self):
+        # no pixel could be valid: an error, not an all-invalid map
+        with pytest.raises(ValueError, match="no pixel has intensity"):
+            reconstruct_stokes({lab: np.zeros((4, 4)) for lab in PolLabel})
+
 
 class TestAberration:
     def test_zero_coefficients_identity(self):
@@ -339,6 +344,7 @@ def test_grid_invariants():
     for n in (64.5, 64.0, True):
         with pytest.raises(ValueError, match=r"^n must be an int"):
             GridSpec(n=n)
+    assert type(GridSpec(n=np.int64(64)).n) is int
 
 
 @pytest.mark.parametrize(
