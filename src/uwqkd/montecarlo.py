@@ -5,6 +5,8 @@ per-photon binomial survival (so the analytic counterpart is exactly
 Y_n = Y0 + 1 - (1-eta)^n), dark counts OR-ed into the detection window, and
 uniform basis choice on both sides.  Double clicks (signal + dark) resolve
 to the signal outcome; dark-only clicks carry a uniformly random outcome.
+Survivors are drawn only for pulses with photons, and bases and outcomes
+only for pulses that click; no other pulse's draws could reach a count.
 
 Pulses are simulated in blocks of 2**16, each block drawing from its own
 stream derived from the master seed.  The blocks run on
@@ -30,6 +32,7 @@ from .channel import ChannelParams, _gain_qber, _is_int, background_yield, trans
 BLOCK_SIZE = 2**16
 _MAX_THREADS = 4
 _BAND_SE = 4.0  # half-width of within_model_band's band, in standard errors
+_MU_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)  # numpy's Poisson limit
 
 
 @dataclass(frozen=True)
@@ -59,23 +62,25 @@ def _block_counts(rng: np.random.Generator, size: int, mu: float, eta: float, y0
                   e_det: float) -> tuple[int, int, int]:
     """(detections, sifted, errors) of one block.
 
-    The draws are made in a fixed order -- photon numbers, survivors, dark
-    counts, Alice's and Bob's bases, outcome flips -- and each drawn array is
-    dropped as soon as it has been compared, which keeps a thread's peak
-    memory at a few of one block's arrays.
+    Draw order: photon numbers, then survivors for pulses with photons only
+    (``binomial(0, eta)`` draws nothing), dark counts, then Alice's bases,
+    Bob's bases and outcome flips for the pulses that click only.
     """
-    signal = rng.binomial(rng.poisson(mu, size), eta) > 0
-    click = signal | (rng.random(size) < y0)
-    sift = click & (rng.integers(0, 2, size) == rng.integers(0, 2, size))
-    flip = rng.random(size)
-    wrong = np.where(signal, flip < e_det, flip < 0.5)
-    return tuple(int(np.count_nonzero(a)) for a in (click, sift, sift & wrong))
+    photons = rng.poisson(mu, size)
+    lit = np.flatnonzero(photons)
+    signal = np.zeros(size, dtype=bool)
+    signal[lit] = rng.binomial(photons[lit], eta) > 0
+    click = np.flatnonzero(signal | (rng.random(size) < y0))
+    sift = rng.integers(0, 2, click.size) == rng.integers(0, 2, click.size)
+    flip = rng.random(click.size)
+    wrong = np.where(signal[click], flip < e_det, flip < 0.5)
+    return click.size, int(np.count_nonzero(sift)), int(np.count_nonzero(sift & wrong))
 
 
 def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> SessionStats:
     """Simulate a BB84 session of n_pulses weak coherent pulses."""
-    if not (math.isfinite(mu) and mu >= 0):
-        raise ValueError(f"mu must be finite and >= 0, got {mu!r}")
+    if not (math.isfinite(mu) and 0 <= mu <= _MU_MAX):
+        raise ValueError(f"mu must be finite, >= 0 and <= {_MU_MAX!r}, got {mu!r}")
     if not (_is_int(n_pulses) and n_pulses >= 1):
         raise ValueError(f"n_pulses must be an int >= 1, got {n_pulses!r}")
     if not (_is_int(seed) and seed >= 0):

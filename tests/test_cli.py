@@ -259,6 +259,11 @@ class TestMonteCarlo:
         }
         assert payload["seed"] == 42
 
+    def test_pinned_session_passes_check(self, tmp_path):
+        # the session whose output tests/data/cli_output_sha256.json pins
+        argv = ["montecarlo", "--mu", "0.5", "--n-pulses", "100000", "--seed", "3", "--length", "20"]
+        assert main(argv + ["--check", "--out", str(tmp_path / "mc.json")]) == 0
+
     def test_byte_identical_reruns(self, config_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = [

@@ -1,9 +1,11 @@
-"""Extreme and invalid inputs to the key-rate pipeline and the config loader.
+"""Extreme and invalid inputs to the key-rate pipeline, the config loader and
+the Monte Carlo session.
 
 Every case ends in a ``ValueError`` that names what was wrong, or in a
 finite key rate with finite components that carries ``no_positive_key``
 exactly when K = 0.  NaN, inf and subnormal intensities, mu next to nu, zero
-loss, Y0 near 1 and ``mu_max`` above 709 (where e^mu overflows) are covered.
+loss, Y0 near 1 and ``mu_max`` above 709 (where e^mu overflows) are covered,
+and so is a Monte Carlo mu above numpy's largest Poisson mean.
 Numpy warnings are errors in this suite, so none may escape either.
 """
 
@@ -16,8 +18,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from uwqkd.channel import ChannelParams, ZeroGainError, gain_stats
+from uwqkd.cli import main
 from uwqkd.config import config_from_dict, config_to_dict, load_config
 from uwqkd.decoy import estimate_single_photon, evaluate_key_rate
+from uwqkd.montecarlo import _MU_MAX, simulate_session
 from uwqkd.optimize import OptimizerConfig, optimize_mu_nu
 
 SPECIAL = [math.nan, math.inf, -math.inf, 0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300,
@@ -132,3 +136,13 @@ def test_config_is_rejected_or_gives_a_finite_optimum(d):
         assert any(key in str(exc) for key in KEYS), exc
         return
     finite_or_rejected(lambda: optimize_mu_nu(cfg.channel, cfg.optimizer))
+
+
+def test_monte_carlo_mu_beyond_poisson_limit_names_mu(capsys):
+    # numpy's Poisson refuses means above ~9.2e18 with a message that names no field
+    s = simulate_session(ChannelParams(), _MU_MAX, 10, 0)
+    assert s.detections == 10
+    with pytest.raises(ValueError, match="^mu must be"):
+        simulate_session(ChannelParams(), float(np.nextafter(_MU_MAX, math.inf)), 10, 0)
+    assert main(["montecarlo", "--mu", "1e19", "--n-pulses", "10"]) == 1
+    assert "error: mu must be" in capsys.readouterr().err

@@ -99,7 +99,35 @@ class TestEstimate:
 
 def serial_counts(p, mu, n_pulses, seed):
     """(detections, sifted, errors) from the one-thread per-block loop the threaded
-    simulate_session replaced, kept as its oracle."""
+    simulate_session replaced, in its draw order, kept as its oracle: survivors only
+    for pulses with photons, bases and outcome flips only for pulses that click."""
+    eta = transmittance(p)
+    y0 = background_yield(p)
+    detections = sifted = errors = 0
+    n_blocks = (n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
+    for b in range(n_blocks):
+        size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        n_phot = rng.poisson(mu, size)
+        lit = n_phot > 0
+        signal = np.zeros(size, dtype=bool)
+        signal[lit] = rng.binomial(n_phot[lit], eta) > 0
+        dark = rng.random(size) < y0
+        click = signal | dark
+        k = int(click.sum())
+        basis_match = rng.integers(0, 2, k) == rng.integers(0, 2, k)
+        flip = rng.random(k)
+        wrong = np.where(signal[click], flip < p.e_det, flip < 0.5)
+        detections += k
+        sifted += int(basis_match.sum())
+        errors += int((basis_match & wrong).sum())
+    return detections, sifted, errors
+
+
+def every_pulse_counts(p, mu, n_pulses, seed):
+    """(detections, sifted, errors) in the earlier per-pulse draw order: survivors,
+    bases and an outcome flip for every pulse.  Its gain draws are the same as
+    serial_counts', because a binomial of zero photons draws nothing."""
     eta = transmittance(p)
     y0 = background_yield(p)
     detections = sifted = errors = 0
@@ -148,6 +176,8 @@ class TestThreadedBlocks:
         s = simulate_session(p, mu, n_pulses, 2024)
         assert counts(s) == serial_counts(p, mu, n_pulses, 2024)
         assert s.pulses_sent == n_pulses
+        # the gain's draws come first and are the same in both orders
+        assert s.detections == every_pulse_counts(p, mu, n_pulses, 2024)[0]
 
     def test_usable_cpus(self, monkeypatch):
         _set_cpus(monkeypatch, 3)
@@ -244,6 +274,31 @@ class TestThreadedBlocks:
         with pytest.raises(RuntimeError, match="broken generator"):
             simulate_session(ChannelParams(), 0.5, 8 * BLOCK_SIZE, 0)
         assert threading.active_count() == before
+
+
+DISTRIBUTION_CHANNELS = {
+    # ~5 % of pulses click, nearly all on signal
+    "signal_dominated": ChannelParams(e_det=0.01).at_length(0.5),
+    # ~0.4 % of pulses click, about three in four on a dark count alone
+    "dark_dominated": ChannelParams(e_det=0.01, dark_rate_hz=3e6).at_length(30.0),
+}
+
+
+@pytest.mark.parametrize("channel", sorted(DISTRIBUTION_CHANNELS))
+def test_draw_orders_agree_in_distribution(channel):
+    """Pooled over 200 seeds, the clicked-only and every-pulse draw orders give the
+    same sifted fraction and QBER within 4 combined standard errors."""
+    p = DISTRIBUTION_CHANNELS[channel]
+    pooled = {"clicked": np.zeros(3, dtype=np.int64), "every": np.zeros(3, dtype=np.int64)}
+    for seed in range(200):
+        pooled["clicked"] += counts(simulate_session(p, 0.5, BLOCK_SIZE // 2, seed))
+        pooled["every"] += every_pulse_counts(p, 0.5, BLOCK_SIZE // 2, seed)
+    assert pooled["clicked"][0] == pooled["every"][0]
+    for num, den in ((1, 0), (2, 1)):  # sifted / detections, then errors / sifted
+        (a, n_a), (b, n_b) = ((pooled[k][num], pooled[k][den]) for k in ("clicked", "every"))
+        f_a, f_b = a / n_a, b / n_b
+        se = np.sqrt(f_a * (1 - f_a) / n_a + f_b * (1 - f_b) / n_b)
+        assert abs(f_a - f_b) <= 4 * se, (channel, num, f_a, f_b, se)
 
 
 class TestInputValidation:
