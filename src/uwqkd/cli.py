@@ -211,13 +211,12 @@ def _cmd_tomography(args) -> int:
     else:
         spec = AberrationSpec(tip=args.tip, tilt=args.tilt, astig_oblique=args.astig_oblique,
                               astig_vertical=args.astig_vertical, defocus=args.defocus)
-    field = apply_aberration(make_vector_mode(args.kind, grid), spec)
-    intensities = project_all(field)
+    intensities = project_all(apply_aberration(make_vector_mode(args.kind, grid), spec))  # no field held
     stokes = reconstruct_stokes(intensities)
     prefix = Path(args.out) if args.out else Path(f"tomography_{args.kind}")
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    for lab in PolLabel:
-        write_pgm(f"{prefix}_I{lab.value}.pgm", intensities[lab])
+    for lab in PolLabel:  # each image dies once written: only `stokes` outlives this loop
+        write_pgm(f"{prefix}_I{lab.value}.pgm", intensities.pop(lab))
     if args.format == "json":
         _write_json_object(f"{prefix}_stokes.json", {
             "kind": args.kind,

@@ -16,7 +16,7 @@ construction: s1 = +1 for H, s2 = +1 for D = (H+V)/sqrt(2), s3 = +1 for L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .qstate import _JONES, PolLabel, vector_mub_states
 MODE_KINDS = ("radial", "azimuthal", "vortex_cw", "vortex_ccw")  # the MUB states psi + phi, in order
 
 _VALID_FRACTION = 1e-3  # Stokes pixels need more than this fraction of the peak intensity
+_R_DARK = 28.0  # waists; exp(-r**2) underflows to exactly 0 beyond r = 27.3
 
 
 @dataclass(frozen=True)
@@ -117,15 +118,18 @@ def _lg_envelope(r: np.ndarray, phi: np.ndarray, ell: int) -> np.ndarray:
     return (r * math.sqrt(2)) ** abs(ell) * np.exp(-(r**2)) * np.exp(1j * ell * phi)
 
 
-def _norm(eh: np.ndarray, ev: np.ndarray) -> float:
+def _norm(eh: np.ndarray, ev: np.ndarray, grid: GridSpec | None = None) -> float:
     norm = math.sqrt(float(np.sum(np.abs(eh) ** 2 + np.abs(ev) ** 2)))
+    if norm == 0 and grid is not None:
+        raise ValueError(f"the field is zero on every pixel of the n={grid.n}, "
+                         f"extent_waists={grid.extent_waists!r} grid")
     if not 0 < norm < math.inf:  # written so that NaN fails it
         raise ValueError(f"zero or non-finite field: norm {norm!r}")
     return norm
 
 
-def _normalize(eh: np.ndarray, ev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norm = _norm(eh, ev)
+def _normalize(eh: np.ndarray, ev: np.ndarray, grid: GridSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
+    norm = _norm(eh, ev, grid)
     return eh / norm, ev / norm
 
 
@@ -146,6 +150,7 @@ def make_spin_orbit_field(
     """Sample an arbitrary finite (circular polarization, OAM) superposition."""
     grid = grid or GridSpec()
     r, phi = _polar(grid)
+    np.minimum(r, _R_DARK, out=r)  # the envelope is 0 there anyway, and r**2 cannot overflow
     eh = np.zeros((grid.n, grid.n), dtype=complex)
     ev = np.zeros((grid.n, grid.n), dtype=complex)
     for (pol, ell), a in amplitudes.items():
@@ -155,7 +160,7 @@ def make_spin_orbit_field(
         env = _lg_envelope(r, phi, ell)
         eh += a * env * jones[0]
         ev += a * env * jones[1]
-    eh, ev = _normalize(eh, ev)
+    eh, ev = _normalize(eh, ev, grid)
     return VectorField(eh, ev, grid)
 
 
@@ -177,7 +182,11 @@ def apply_aberration(f: VectorField, spec: AberrationSpec) -> VectorField:
     """Multiply both polarization components by the common phase screen."""
     if not any(spec.coefficients()):
         return f
-    screen = np.exp(1j * zernike_phase(f.grid, spec))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite screen is rejected below
+        screen = 1j * zernike_phase(f.grid, spec)
+    if not np.isfinite(screen).all():
+        raise ValueError(f"aberration coefficients {asdict(spec)} give a non-finite phase screen")
+    np.exp(screen, out=screen)
     return VectorField(f.eh * screen, f.ev * screen, f.grid)
 
 

@@ -1,10 +1,13 @@
+import gc
 import importlib
 import json
+import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from uwqkd import cli
 from uwqkd.channel import ChannelParams
 from uwqkd.cli import build_parser, main
 from uwqkd.config import (
@@ -16,6 +19,7 @@ from uwqkd.config import (
     save_config,
 )
 from uwqkd.optimize import OptimizerConfig
+from uwqkd.tomography import project_all
 
 
 @pytest.fixture
@@ -313,6 +317,31 @@ class TestTomography:
         with pytest.raises(SystemExit) as exc:
             main(["tomography", "--kind", "spiral"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_field_and_images_freed_before_stokes_writer(self, fmt, monkeypatch, tmp_path):
+        refs = []  # weak references to the projected field and to each analyzer image
+
+        def tracked_project_all(f):
+            images = project_all(f)
+            refs.extend(weakref.ref(a) for a in (f, f.eh, f.ev, *images.values()))
+            return images
+
+        alive = []  # per writer call: which of them are still alive when it starts
+
+        def checked(writer):
+            def wrapper(*args):
+                gc.collect()
+                alive.append([r() is not None for r in refs])
+                return writer(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli, "project_all", tracked_project_all)
+        monkeypatch.setattr(cli, "_write_stokes_csv", checked(cli._write_stokes_csv))
+        monkeypatch.setattr(cli, "_write_json_object", checked(cli._write_json_object))
+        assert main(["tomography", "--kind", "vortex_cw", "--n", "32", "--random-aberration", "--seed", "7",
+                     "--length", "10", "--format", fmt, "--out", str(tmp_path / "t")]) == 0
+        assert alive == [[False] * 9]
 
     @pytest.mark.parametrize(
         "flags,field",

@@ -1,14 +1,18 @@
-"""Extreme and invalid inputs to the key-rate pipeline, the config loader and
-the Monte Carlo session.
+"""Extreme and invalid inputs to the key-rate pipeline, the config loader, the
+Monte Carlo session and the tomography command.
 
 Every case ends in a ``ValueError`` that names what was wrong, or in a
 finite key rate with finite components that carries ``no_positive_key``
 exactly when K = 0.  NaN, inf and subnormal intensities, mu next to nu, zero
 loss, Y0 near 1 and ``mu_max`` above 709 (where e^mu overflows) are covered,
-and so is a Monte Carlo mu above numpy's largest Poisson mean.
+and so is a Monte Carlo mu above numpy's largest Poisson mean.  Tomography
+takes aberration coefficients up to +-1e308 and grid extents up to 1e308 and
+either writes its maps or exits 1 naming the field.
 Numpy warnings are errors in this suite, so none may escape either.
 """
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -146,3 +150,34 @@ def test_monte_carlo_mu_beyond_poisson_limit_names_mu(capsys):
         simulate_session(ChannelParams(), float(np.nextafter(_MU_MAX, math.inf)), 10, 0)
     assert main(["montecarlo", "--mu", "1e19", "--n-pulses", "10"]) == 1
     assert "error: mu must be" in capsys.readouterr().err
+
+
+COEFFICIENTS = ("tip", "tilt", "astig_oblique", "astig_vertical", "defocus")
+huge = st.sampled_from([0.0, 1e308, -1e308, 1e154]) | st.floats(-1e308, 1e308)
+
+
+@pytest.fixture(scope="module")
+def tomography_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("tomography") / "t"
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficients=st.dictionaries(st.sampled_from(COEFFICIENTS), huge, max_size=3),
+       extent=st.sampled_from([4.0, 60.0, 1e3, 1e308]) | st.floats(4, 1e308))
+# tip * 2 overflows to inf, and the screen exp(1j * inf) was NaN
+@example(coefficients={"tip": 1e308}, extent=8.0)
+# r**2 overflows, and every pixel is dark
+@example(coefficients={}, extent=1e308)
+def test_tomography_writes_maps_or_names_the_field(coefficients, extent, tomography_out):
+    flags = [f"--{name.replace('_', '-')}={c!r}" for name, c in coefficients.items()]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["tomography", "--kind", "radial", "--n", "32", f"--extent={extent!r}", *flags,
+                   "--out", str(tomography_out)])
+    message = err.getvalue()
+    if rc == 0:
+        assert not message
+    elif "non-finite phase screen" in message:
+        assert rc == 1 and all(f"'{name}': " in message for name in COEFFICIENTS), message
+    else:
+        assert rc == 1 and f"n=32, extent_waists={extent!r} grid" in message, message
