@@ -18,9 +18,9 @@ ROOT = Path(__file__).resolve().parent.parent
         ("mc_crosscheck.py", ["--n-pulses", "200000"]),
         ("rate_distance.py", ["--l-max", "10", "--step", "5", "--out", "{tmp}/rate_distance.csv"]),
         ("tomography_demo.py", ["--n", "32"]),
-        ("tomography_cost.py", ["--n", "32"]),
         # no length sifts anything, so there is no QBER to print
         ("mc_crosscheck.py", ["--n-pulses", "1000", "--mu", "0.001"]),
+        ("tomography_cost.py", ["--n", "32"]),
     ],
 )
 def test_script_runs(script, args, tmp_path):
