@@ -55,7 +55,8 @@ def _entropy(e):
     The logarithms' arguments are floored at the smallest subnormal float,
     so H(0) = H(1) = 0 comes out as 0 * -1074 rather than 0 * log2(0) = NaN.
     """
-    return -(e * np.log2(np.maximum(e, 5e-324)) + (1 - e) * np.log2(np.maximum(1 - e, 5e-324)))
+    f = 1 - e
+    return -(e * np.log2(np.maximum(e, 5e-324)) + f * np.log2(np.maximum(f, 5e-324)))
 
 
 def _check_error_rate(e: float) -> None:
@@ -97,16 +98,16 @@ def _decoy_bounds(s_mu, mu, nu, y0, bracket_nu, e1_nu):
     Completes the decoy's half from ``_decoy_nu`` with the signal's part of
     the gain, s_mu = Q_mu - Y0.  Returns ``(q1, e1, vacuous)``: Q1 clamped
     below at 0, e1 clamped into [0, 1/2] (1/2 where Q1 = 0), and where
-    either clamp fired.
+    either clamp fired.  e^mu overflows above mu ~ 709.8 and r (mu - nu) can
+    underflow, so its callers, ``_key_rate_arrays`` and ``estimate_single_photon``,
+    hold ``np.errstate(all="ignore")`` around it and screen out the NaN/inf.
     """
-    # e^mu overflows above mu ~ 709.8 and r (mu - nu) can underflow; callers screen out the NaN/inf
-    with np.errstate(all="ignore"):
-        exp_mu = np.exp(mu)
-        p1 = mu / exp_mu  # single-photon probability mu e^-mu
-        r = nu / mu
-        bracket = bracket_nu - r * r * (s_mu * exp_mu + y0 * np.expm1(mu))
-        q1 = np.maximum(0.0, p1 / (r * (mu - nu)) * bracket)
-        e1_raw = e1_nu * p1 / (q1 * nu)
+    exp_mu = np.exp(mu)
+    p1 = mu / exp_mu  # single-photon probability mu e^-mu
+    r = nu / mu
+    bracket = bracket_nu - r * r * (s_mu * exp_mu + y0 * np.expm1(mu))
+    q1 = np.maximum(0.0, p1 / (r * (mu - nu)) * bracket)
+    e1_raw = e1_nu * p1 / (q1 * nu)
     e1 = np.where(q1 > 0, np.minimum(0.5, np.maximum(0.0, e1_raw)), 0.5)
     return q1, e1, e1 != e1_raw
 
@@ -139,7 +140,8 @@ def estimate_single_photon(stats: GainStats, mu: float, nu: float) -> DecoyEstim
     _check_ordering(mu, nu)
     y0 = stats.y0
     bracket_nu, e1_nu = _decoy_nu(stats.q_nu - y0, stats.e_nu * stats.q_nu - 0.5 * y0, nu, y0)
-    q1, e1, vacuous = _decoy_bounds(stats.q_mu - y0, mu, nu, y0, bracket_nu, e1_nu)
+    with np.errstate(all="ignore"):  # see _decoy_bounds
+        q1, e1, vacuous = _decoy_bounds(stats.q_mu - y0, mu, nu, y0, bracket_nu, e1_nu)
     _check_finite(mu, nu, q1, e1)
     return DecoyEstimate(q1_lower=float(q1), e1_upper=float(e1), vacuous=bool(vacuous))
 
@@ -187,8 +189,9 @@ def _key_rate_arrays(stage, mu):
     mask; callers screen out points with nu >= mu or zero gain.
     """
     eta, y0, e_det, f_ec, qber, modeled, nu, q_nu, e_nu, bracket_nu, e1_nu = stage
-    q_mu, e_mu, s_mu, _ = _gain_qber(mu, eta, y0, e_det)
-    q1, e1, vacuous = _decoy_bounds(s_mu, mu, nu, y0, bracket_nu, e1_nu)
+    with np.errstate(all="ignore"):  # see _decoy_bounds
+        q_mu, e_mu, s_mu, _ = _gain_qber(mu, eta, y0, e_det)
+        q1, e1, vacuous = _decoy_bounds(s_mu, mu, nu, y0, bracket_nu, e1_nu)
     e_mu = np.where(modeled, e_mu, qber)
     k = _key_fraction(q_mu, e_mu, q1, e1, f_ec)
     components = dict(

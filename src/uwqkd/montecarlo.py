@@ -67,7 +67,7 @@ def _block_counts(rng: np.random.Generator, size: int, mu: float, eta: float, y0
     Bob's bases and outcome flips for the pulses that click only.
     """
     photons = rng.poisson(mu, size)
-    lit = np.flatnonzero(photons)
+    lit = np.flatnonzero(photons > 0)
     signal = np.zeros(size, dtype=bool)
     signal[lit] = rng.binomial(photons[lit], eta) > 0
     click = np.flatnonzero(signal | (rng.random(size) < y0))

@@ -86,8 +86,10 @@ class RatePoint:
 
 def _k_grid(stage: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Key rate on a mu array, from the rows of ``decoy._nu_stage`` reshaped to
-    broadcast against it; invalid points and non-finite K -> -inf, so that
-    ``np.argmax`` never picks a NaN."""
+    broadcast against it (``_row_best`` passes them at mu's shape, which makes
+    each numpy call cheaper than a broadcast); invalid points and non-finite
+    K -> -inf, so that ``np.argmax`` never picks a NaN.  ``_key_rate_arrays``
+    holds the ``np.errstate`` of the decoy bounds."""
     k, components, _ = _key_rate_arrays(stage, mu)
     nu = stage[6]  # the nu row
     return np.where((nu < mu) & (components["q_mu"] > 0) & np.isfinite(k), k, -np.inf)
@@ -109,12 +111,14 @@ def _row_best(stage: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Best K on each channel's row of ``mu``, given the channels' ``decoy._nu_stage``
     columns, and its mu (the first maximum, so the smaller mu of an ascending row),
     in kernel calls of at most ``_CHUNK_POINTS`` points, which bounds their
-    temporaries."""
+    temporaries.  Each call gets the stage rows repeated to the chunk's shape
+    (one copy of at most 11 x ``_CHUNK_POINTS`` floats), so that the kernel's
+    numpy calls take same-shape operands and do not broadcast."""
     k_best, mu_best = np.empty(len(mu)), np.empty(len(mu))
     step = max(1, _CHUNK_POINTS // mu.shape[1])
     for c in range(0, len(mu), step):
         rows = mu[c : c + step]
-        k = _k_grid(stage[:, c : c + step, None], rows)
+        k = _k_grid(np.repeat(stage[:, c : c + step, None], rows.shape[1], axis=2), rows)
         at, j = np.arange(len(rows)), np.argmax(k, axis=1)
         k_best[c : c + step], mu_best[c : c + step] = k[at, j], rows[at, j]
     return k_best, mu_best
@@ -144,7 +148,7 @@ def optimize_mu_nu(
     live = np.flatnonzero(best_k > 0)
     s, m, kb = stage[:, live], mu[live], best_k[live]
     for zoom in zooms:
-        kz, mz = _row_best(s, np.clip(m[:, None] * zoom, mus[0], mus[-1]))
+        kz, mz = _row_best(s, np.minimum(np.maximum(m[:, None] * zoom, mus[0]), mus[-1]))
         up = kz >= kb  # so K never falls below the coarse best
         kb, m = np.where(up, kz, kb), np.where(up, mz, m)
     mu[live] = m

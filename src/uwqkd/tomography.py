@@ -38,8 +38,9 @@ class GridSpec:
         if not (_is_int(self.n) and self.n >= 32):
             raise ValueError(f"n must be an int >= 32 (a grid of at least 32x32), got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))  # a numpy integer is stored as an int
-        if not (math.isfinite(self.extent_waists) and self.extent_waists >= 4):
-            raise ValueError(f"extent_waists must be finite and >= 4, got {self.extent_waists!r}")
+        # np.linspace overflows on an extent next to the largest float; any grid that wide is dark
+        if not 4 <= self.extent_waists <= 1e308:
+            raise ValueError(f"extent_waists must be >= 4 and <= 1e308, got {self.extent_waists!r}")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         half = self.extent_waists / 2

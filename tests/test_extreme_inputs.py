@@ -7,7 +7,8 @@ exactly when K = 0.  NaN, inf and subnormal intensities, mu next to nu, zero
 loss, Y0 near 1 and ``mu_max`` above 709 (where e^mu overflows) are covered,
 and so is a Monte Carlo mu above numpy's largest Poisson mean.  Tomography
 takes aberration coefficients up to +-1e308 and grid extents up to 1e308 and
-either writes its maps or exits 1 naming the field.
+either writes its maps or exits 1 naming the field; a wider extent exits 1
+naming ``extent_waists``.
 Numpy warnings are errors in this suite, so none may escape either.
 """
 
@@ -168,6 +169,8 @@ def tomography_out(tmp_path_factory):
 @example(coefficients={"tip": 1e308}, extent=8.0)
 # r**2 overflows, and every pixel is dark
 @example(coefficients={}, extent=1e308)
+# the pixel axis overflowed in np.linspace; GridSpec now rejects it
+@example(coefficients={}, extent=1.7976931348623157e308)
 def test_tomography_writes_maps_or_names_the_field(coefficients, extent, tomography_out):
     flags = [f"--{name.replace('_', '-')}={c!r}" for name, c in coefficients.items()]
     err = io.StringIO()
@@ -179,5 +182,7 @@ def test_tomography_writes_maps_or_names_the_field(coefficients, extent, tomogra
         assert not message
     elif "non-finite phase screen" in message:
         assert rc == 1 and all(f"'{name}': " in message for name in COEFFICIENTS), message
+    elif extent > 1e308:
+        assert rc == 1 and f"extent_waists must be >= 4 and <= 1e308, got {extent!r}" in message, message
     else:
         assert rc == 1 and f"n=32, extent_waists={extent!r} grid" in message, message

@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from uwqkd.channel import ChannelParams, ZeroGainError, background_yield, transmittance
-from uwqkd.decoy import FLAG_NO_POSITIVE_KEY, NonFiniteBoundsError, _channel_columns, _nu_stage, evaluate_key_rate
+from uwqkd.channel import ChannelParams, ZeroGainError, background_yield, gain_stats, transmittance
+from uwqkd.decoy import (
+    FLAG_NO_POSITIVE_KEY,
+    NonFiniteBoundsError,
+    _channel_columns,
+    _key_rate_arrays,
+    _nu_stage,
+    estimate_single_photon,
+    evaluate_key_rate,
+)
 from uwqkd.optimize import (
     _CHUNK_POINTS,
     _ZOOM,
@@ -16,6 +24,7 @@ from uwqkd.optimize import (
     OptimizerConfig,
     _grid,
     _k_grid,
+    _row_best,
     distance_sweep,
     max_secure_distance,
     optimize_mu_nu,
@@ -558,3 +567,47 @@ class TestMaxSecureDistance:
         assert more_dark < base
         assert more_misalign < base
         assert more_loss < base
+
+
+class TestKernelOperands:
+    """``_row_best`` hands ``_k_grid`` stage rows repeated to the chunk's shape,
+    and the kernel holds its own ``np.errstate``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(channels, st.none() | st.just(0.0) | st.floats(0, 0.1)), min_size=1, max_size=8),
+        st.integers(1, 300),
+        # 4097 points leave room for one channel per chunk; 300 x 64 points are three chunks
+        st.sampled_from([1, 9, 64, 4097]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_row_best_equals_argmax_on_broadcast_batch(self, specs, n, points, seed):
+        ps, qs = [p for p, _ in specs], [q for _, q in specs]
+        ps, qs = (ps * n)[:n], (qs * n)[:n]
+        nu = 1e-4
+        stage = _nu_stage(_channel_columns(ps, qs), nu)
+        # log-uniform from below nu (invalid points) to 1, plus the coarse row's shape of input
+        mu = np.exp(np.random.default_rng(seed).uniform(math.log(nu / 2), 0.0, (n, points)))
+        if points == 64:
+            mu = np.broadcast_to(_grid(OptimizerConfig())[0], (n, points))
+        k = _k_grid(stage[:, :, None], mu)
+        j = np.argmax(k, axis=1)
+        at = np.arange(n)
+        k_best, mu_best = _row_best(stage, mu)
+        assert k_best.tobytes() == k[at, j].tobytes()
+        assert mu_best.tobytes() == mu[at, j].tobytes()
+
+    # e^mu overflows at mu >= 710, and r (mu - nu) underflows at nu = 1e-300 and 1e-200
+    @pytest.mark.parametrize("mu,nu,finite", [(710.0, 1e-4, False), (1e300, 1e-4, False),
+                                              (1.0, 1e-300, True), (0.5, 1e-200, True)])
+    def test_no_floating_point_warning(self, mu, nu, finite, flume_params):
+        # numpy warns on underflow too here, and pytest turns warnings into errors
+        with np.errstate(all="warn"):
+            k, _, _ = _key_rate_arrays(_nu_stage(_channel_columns([flume_params]), nu), np.array([mu]))
+            assert np.isfinite(k).all() == finite
+            stats = gain_stats(flume_params, mu, nu)
+            if finite:
+                estimate_single_photon(stats, mu, nu)
+            else:
+                with pytest.raises(NonFiniteBoundsError):
+                    estimate_single_photon(stats, mu, nu)

@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
         # no length sifts anything, so there is no QBER to print
         ("mc_crosscheck.py", ["--n-pulses", "1000", "--mu", "0.001"]),
         ("tomography_cost.py", ["--n", "32"]),
+        ("kernel_cost.py", ["--repeats", "3"]),
     ],
 )
 def test_script_runs(script, args, tmp_path):
