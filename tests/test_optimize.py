@@ -586,10 +586,10 @@ class TestKernelOperands:
         ps, qs = (ps * n)[:n], (qs * n)[:n]
         nu = 1e-4
         stage = _nu_stage(_channel_columns(ps, qs), nu)
-        # log-uniform from below nu (invalid points) to 1, plus the coarse row's shape of input
-        mu = np.exp(np.random.default_rng(seed).uniform(math.log(nu / 2), 0.0, (n, points)))
-        if points == 64:
+        if points == 64:  # the coarse row, as optimize_mu_nu passes it
             mu = np.broadcast_to(_grid(OptimizerConfig())[0], (n, points))
+        else:  # log-uniform from below nu (invalid points) to 1
+            mu = np.exp(np.random.default_rng(seed).uniform(math.log(nu / 2), 0.0, (n, points)))
         k = _k_grid(stage[:, :, None], mu)
         j = np.argmax(k, axis=1)
         at = np.arange(n)
