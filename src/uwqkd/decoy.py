@@ -44,10 +44,6 @@ class KeyRateResult:
     components: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
 
-    @property
-    def no_positive_key(self) -> bool:
-        return FLAG_NO_POSITIVE_KEY in self.flags
-
 
 def _entropy(e):
     """Binary entropy in bits on an array of error rates in [0, 1].

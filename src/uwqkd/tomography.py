@@ -26,7 +26,7 @@ from .qstate import _JONES, PolLabel, vector_mub_states
 MODE_KINDS = ("radial", "azimuthal", "vortex_cw", "vortex_ccw")  # the MUB states psi + phi, in order
 
 _VALID_FRACTION = 1e-3  # Stokes pixels need more than this fraction of the peak intensity
-_R_DARK = 28.0  # waists; exp(-r**2) underflows to exactly 0 beyond r = 27.3
+_R_DARK = 28.0  # waists; exp(-x**2) underflows to exactly 0 beyond |x| = 27.3
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,6 @@ class VectorField:
     def __post_init__(self):
         if self.eh.shape != self.ev.shape or self.eh.shape != (self.grid.n, self.grid.n):
             raise ValueError("field components must match the grid shape")
-
-    def total_intensity(self) -> float:
-        return float(np.sum(np.abs(self.eh) ** 2 + np.abs(self.ev) ** 2))
 
 
 @dataclass(frozen=True)
@@ -108,17 +105,6 @@ class AberrationSpec:
         return (self.tip, self.tilt, self.astig_oblique, self.astig_vertical, self.defocus)
 
 
-def _polar(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel polar coordinates (r, phi) of the grid."""
-    x, y = grid.axes()
-    return np.hypot(x, y), np.arctan2(y, x)
-
-
-def _lg_envelope(r: np.ndarray, phi: np.ndarray, ell: int) -> np.ndarray:
-    """Laguerre-Gauss p = 0 amplitude with azimuthal index ell (unnormalized, unit waist)."""
-    return (r * math.sqrt(2)) ** abs(ell) * np.exp(-(r**2)) * np.exp(1j * ell * phi)
-
-
 def _norm(eh: np.ndarray, ev: np.ndarray, grid: GridSpec | None = None) -> float:
     norm = math.sqrt(float(np.sum(np.abs(eh) ** 2 + np.abs(ev) ** 2)))
     if norm == 0 and grid is not None:
@@ -127,11 +113,6 @@ def _norm(eh: np.ndarray, ev: np.ndarray, grid: GridSpec | None = None) -> float
     if not 0 < norm < math.inf:  # written so that NaN fails it
         raise ValueError(f"zero or non-finite field: norm {norm!r}")
     return norm
-
-
-def _normalize(eh: np.ndarray, ev: np.ndarray, grid: GridSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
-    norm = _norm(eh, ev, grid)
-    return eh / norm, ev / norm
 
 
 def make_vector_mode(kind: str, grid: GridSpec | None = None) -> VectorField:
@@ -148,34 +129,45 @@ def make_vector_mode(kind: str, grid: GridSpec | None = None) -> VectorField:
 def make_spin_orbit_field(
     amplitudes: dict[tuple[str, int], complex], grid: GridSpec | None = None
 ) -> VectorField:
-    """Sample an arbitrary finite (circular polarization, OAM) superposition."""
+    """Sample an arbitrary finite (circular polarization, OAM) superposition.
+
+    The Laguerre-Gauss p = 0 amplitude (r sqrt(2))^|l| e^{i l phi} e^{-r^2} (unit
+    waist) is (sqrt(2) (x + i sign(l) y))^|l| times one Gaussian shared by every term.
+    """
     grid = grid or GridSpec()
-    r, phi = _polar(grid)
-    np.minimum(r, _R_DARK, out=r)  # the envelope is 0 there anyway, and r**2 cannot overflow
+    x, y = grid.axes()
+    np.clip(x, -_R_DARK, _R_DARK, out=x)  # the Gaussian is 0 there anyway, and x**2 cannot overflow
+    np.clip(y, -_R_DARK, _R_DARK, out=y)
+    gauss = x**2  # built in place: one grid-sized temporary fewer
+    gauss += y**2
+    np.exp(-gauss, out=gauss)
     eh = np.zeros((grid.n, grid.n), dtype=complex)
     ev = np.zeros((grid.n, grid.n), dtype=complex)
     for (pol, ell), a in amplitudes.items():
         if pol not in ("L", "R"):
             raise ValueError(f"polarization label must be 'L' or 'R', got {pol!r}")
         jones = _JONES[PolLabel(pol)]
-        env = _lg_envelope(r, phi, ell)
-        eh += a * env * jones[0]
-        ev += a * env * jones[1]
-    eh, ev = _normalize(eh, ev, grid)
-    return VectorField(eh, ev, grid)
+        env = gauss * (math.sqrt(2) * (x + 1j * np.sign(ell) * y)) ** abs(ell)
+        eh += a * jones[0] * env
+        ev += a * jones[1] * env
+    norm = _norm(eh, ev, grid)
+    return VectorField(eh / norm, ev / norm, grid)
 
 
 def zernike_phase(grid: GridSpec, spec: AberrationSpec) -> np.ndarray:
-    """Phase screen sum_j c_j Z_j(rho, theta), rho normalized to the half-extent."""
-    r, theta = _polar(grid)
-    rho = r / (grid.extent_waists / 2)
+    """Phase screen sum_j c_j Z_j(u, v), with u = x/R and v = y/R, R the half-extent.
+
+    Noll's Z2..Z6 as polynomials, from rho cos(theta) = u and rho sin(theta) = v.
+    """
+    u = np.linspace(-1.0, 1.0, grid.n)  # x / R along each row
+    v = u[:, None]  # y / R down each column
     tip, tilt, a_obl, a_ver, defoc = spec.coefficients()
     return (
-        tip * 2 * rho * np.cos(theta)
-        + tilt * 2 * rho * np.sin(theta)
-        + a_obl * math.sqrt(6) * rho**2 * np.sin(2 * theta)
-        + a_ver * math.sqrt(6) * rho**2 * np.cos(2 * theta)
-        + defoc * math.sqrt(3) * (2 * rho**2 - 1)
+        tip * 2 * u
+        + tilt * 2 * v
+        + a_obl * math.sqrt(6) * 2 * u * v
+        + a_ver * math.sqrt(6) * (u**2 - v**2)
+        + defoc * math.sqrt(3) * (2 * (u**2 + v**2) - 1)
     )
 
 

@@ -214,7 +214,7 @@ class TestKeyRate:
         est = DecoyEstimate(q1_lower=0.3, e1_upper=0.0)
         res = key_rate(stats, est, f_ec=1.22)
         assert res.k_per_pulse == pytest.approx(0.15)
-        assert not res.no_positive_key
+        assert FLAG_NO_POSITIVE_KEY not in res.flags
 
     def test_saturated_e1_gives_zero(self):
         stats = GainStats(q_mu=0.3, e_mu=0.01, q_nu=0.1, e_nu=0.02, y0=1e-5)

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 from uwqkd.channel import ChannelParams, ZeroGainError, gain_stats
 from uwqkd.cli import main
 from uwqkd.config import config_from_dict, config_to_dict, load_config
-from uwqkd.decoy import estimate_single_photon, evaluate_key_rate
+from uwqkd.decoy import FLAG_NO_POSITIVE_KEY, estimate_single_photon, evaluate_key_rate
 from uwqkd.montecarlo import _MU_MAX, simulate_session
 from uwqkd.optimize import OptimizerConfig, optimize_mu_nu
 
@@ -57,7 +57,7 @@ def intensities(draw):
 def check_result(res):
     assert math.isfinite(res.k_per_pulse) and res.k_per_pulse >= 0
     assert all(math.isfinite(v) for v in res.components.values()), res.components
-    assert res.no_positive_key == (res.k_per_pulse == 0)
+    assert (FLAG_NO_POSITIVE_KEY in res.flags) == (res.k_per_pulse == 0)
 
 
 def finite_or_rejected(call):
@@ -167,7 +167,7 @@ def tomography_out(tmp_path_factory):
        extent=st.sampled_from([4.0, 60.0, 1e3, 1e308]) | st.floats(4, 1e308))
 # tip * 2 overflows to inf, and the screen exp(1j * inf) was NaN
 @example(coefficients={"tip": 1e308}, extent=8.0)
-# r**2 overflows, and every pixel is dark
+# x**2 would overflow, and every pixel is dark
 @example(coefficients={}, extent=1e308)
 # the pixel axis overflowed in np.linspace; GridSpec now rejects it
 @example(coefficients={}, extent=1.7976931348623157e308)

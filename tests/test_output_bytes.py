@@ -1,11 +1,15 @@
 """Byte-level pins of the CLI's output files.
 
 ``tests/data/cli_output_sha256.json`` holds the SHA-256 of every file that
-``COMMANDS`` writes.  The Stokes CSV and JSON, sweep, keyrate, optimize and
-Monte Carlo hashes were recorded with the per-pixel writers that ``cli.py``
-used before it wrote whole arrays; the PGM hashes were recorded when
-``write_pgm`` became a binary 16-bit P5 writer, after every P5 file was
-decoded to the pixels the earlier plain P2 writer produced.
+``COMMANDS`` writes.  The sweep, keyrate, optimize and Monte Carlo hashes were
+recorded with the per-pixel writers that ``cli.py`` used before it wrote whole
+arrays; the PGM hashes were recorded when ``write_pgm`` became a binary 16-bit
+P5 writer, after every P5 file was decoded to the pixels the earlier plain P2
+writer produced.  The Stokes CSV and JSON hashes were recorded when
+``uwqkd.tomography`` began to sample fields and Zernike screens from Cartesian
+pixel coordinates instead of (r, phi), after each Stokes map was checked to lie
+within 1e-14 of the polar sampling's, with the same ``valid`` mask and the same
+PGMs.
 
 The writers under test: ``write_pgm`` writes the P5 header and the scaled
 pixels as big-endian ``u2``; the Stokes CSV formats each distinct bit pattern

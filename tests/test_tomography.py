@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from uwqkd.qstate import PolLabel, detection_matrix, make_pol_state, overlap_prob, vector_mub_states
+from uwqkd.qstate import _JONES, PolLabel, detection_matrix, make_pol_state, overlap_prob, vector_mub_states
 from uwqkd.tomography import (
     MODE_KINDS,
     AberrationSpec,
     GridSpec,
     VectorField,
+    _norm,
     apply_aberration,
     make_spin_orbit_field,
     make_vector_mode,
@@ -21,15 +22,56 @@ from uwqkd.tomography import (
 )
 
 GRID = GridSpec(n=96, extent_waists=8.0)
+TERMS = ("tip", "tilt", "astig_oblique", "astig_vertical", "defocus")
+# even n, odd n (a pixel on the axis), and a grid wider than 56 waists, where the axes are clipped
+on_oracle_grids = pytest.mark.parametrize(
+    "grid", [GridSpec(n=64), GridSpec(n=65), GridSpec(n=97, extent_waists=60.0)], ids=["n64", "n65", "n97-wide"]
+)
 
 
 def uniform_jones_field(jones, grid=GRID):
-    from uwqkd.tomography import VectorField, _normalize
-
     eh = np.full((grid.n, grid.n), jones[0], dtype=complex)
     ev = np.full((grid.n, grid.n), jones[1], dtype=complex)
-    eh, ev = _normalize(eh, ev)
-    return VectorField(eh, ev, grid)
+    norm = _norm(eh, ev)
+    return VectorField(eh / norm, ev / norm, grid)
+
+
+def mode_amplitudes(kind):
+    """The (polarization, l) amplitudes that ``make_vector_mode`` samples for ``kind``."""
+    psi, phi = vector_mub_states()
+    state = (psi + phi)[MODE_KINDS.index(kind)]
+    return {k: a / state.amplitude("L", -1) for k, a in state.amplitudes.items()}
+
+
+# -- polar oracles: the per-pixel (r, phi) forms the Cartesian sampling replaced
+
+def polar_field(amplitudes, grid):
+    """Sum of a (r sqrt(2))^|l| e^{-r^2} e^{i l phi} Jones terms, r clamped at 28 waists, normalized."""
+    x, y = grid.axes()
+    r, phi = np.minimum(np.hypot(x, y), 28.0), np.arctan2(y, x)
+    eh = np.zeros((grid.n, grid.n), dtype=complex)
+    ev = np.zeros((grid.n, grid.n), dtype=complex)
+    for (pol, ell), a in amplitudes.items():
+        env = (r * math.sqrt(2)) ** abs(ell) * np.exp(-(r**2)) * np.exp(1j * ell * phi)
+        jones = _JONES[PolLabel(pol)]
+        eh += a * env * jones[0]
+        ev += a * env * jones[1]
+    norm = _norm(eh, ev)
+    return eh / norm, ev / norm
+
+
+def polar_zernike(grid, spec):
+    """Noll's Z2..Z6 in (rho, theta), rho normalized to the half-extent."""
+    x, y = grid.axes()
+    rho, theta = np.hypot(x, y) / (grid.extent_waists / 2), np.arctan2(y, x)
+    tip, tilt, a_obl, a_ver, defoc = spec.coefficients()
+    return (
+        tip * 2 * rho * np.cos(theta)
+        + tilt * 2 * rho * np.sin(theta)
+        + a_obl * math.sqrt(6) * rho**2 * np.sin(2 * theta)
+        + a_ver * math.sqrt(6) * rho**2 * np.cos(2 * theta)
+        + defoc * math.sqrt(3) * (2 * rho**2 - 1)
+    )
 
 
 def random_pure_field(rng, grid=GRID):
@@ -53,13 +95,28 @@ class TestModes:
 
     def test_normalized(self):
         f = make_vector_mode("radial", GRID)
-        assert f.total_intensity() == pytest.approx(1.0, abs=1e-12)
+        assert _norm(f.eh, f.ev) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["radial", "azimuthal", "vortex_cw", "vortex_ccw"])
     def test_donut_null_on_axis(self, kind):
         f = make_vector_mode(kind, GridSpec(n=97, extent_waists=8.0))  # odd: center pixel on axis
         i = np.abs(f.eh) ** 2 + np.abs(f.ev) ** 2
         assert i[48, 48] / i.max() < 1e-6
+
+    @on_oracle_grids
+    @pytest.mark.parametrize("kind", MODE_KINDS)
+    def test_vector_mode_matches_polar_oracle(self, kind, grid):
+        f = make_vector_mode(kind, grid)
+        eh, ev = polar_field(mode_amplitudes(kind), grid)
+        assert max(np.max(np.abs(f.eh - eh)), np.max(np.abs(f.ev - ev))) <= 1e-13
+
+    @on_oracle_grids
+    @pytest.mark.parametrize("ell", range(-3, 4))
+    def test_spin_orbit_field_matches_polar_oracle(self, ell, grid):
+        amplitudes = {("L", ell): 0.6, ("R", -ell): 0.8j}
+        f = make_spin_orbit_field(amplitudes, grid)
+        eh, ev = polar_field(amplitudes, grid)
+        assert max(np.max(np.abs(f.eh - eh)), np.max(np.abs(f.ev - ev))) <= 1e-13
 
     def test_radial_polarization_points_outward(self):
         f = make_vector_mode("radial", GRID)
@@ -190,13 +247,18 @@ class TestAberration:
     def test_power_preserved(self):
         f = make_vector_mode("radial", GRID)
         g = apply_aberration(f, AberrationSpec(tip=0.7, astig_oblique=0.5, defocus=0.2))
-        assert g.total_intensity() == pytest.approx(f.total_intensity(), abs=1e-12)
+        assert _norm(g.eh, g.ev) == pytest.approx(_norm(f.eh, f.ev), abs=1e-12)
 
-    def test_common_phase_leaves_stokes_invariant(self):
-        f = make_vector_mode("radial", GRID)
-        g = apply_aberration(f, AberrationSpec(tip=math.pi))
-        s0 = reconstruct_stokes(project_all(f))
-        s1 = reconstruct_stokes(project_all(g))
+    @pytest.mark.parametrize("term", TERMS)
+    @pytest.mark.parametrize("kind", MODE_KINDS)
+    def test_common_phase_leaves_stokes_invariant(self, kind, term):
+        # the screen multiplies H and V alike, so no analyzer image changes
+        f = make_vector_mode(kind, GRID)
+        g = apply_aberration(f, AberrationSpec(**{term: math.pi}))
+        i0, i1 = project_all(f), project_all(g)
+        for lab in PolLabel:
+            assert np.allclose(i0[lab], i1[lab], rtol=0, atol=1e-15), lab
+        s0, s1 = reconstruct_stokes(i0), reconstruct_stokes(i1)
         assert np.allclose(s0.s1, s1.s1, atol=1e-12)
         assert np.allclose(s0.s2, s1.s2, atol=1e-12)
         assert np.allclose(s0.s3, s1.s3, atol=1e-12)
@@ -258,6 +320,12 @@ class TestAberration:
         half = GRID.extent_waists / 2
         rho2 = (x**2 + y**2) / half**2
         assert np.allclose(screen, math.sqrt(3) * (2 * rho2 - 1), atol=1e-12)
+
+    @on_oracle_grids
+    @pytest.mark.parametrize("term", TERMS)
+    def test_zernike_matches_polar_oracle(self, term, grid):
+        spec = AberrationSpec(**{term: 1.0})
+        assert np.max(np.abs(zernike_phase(grid, spec) - polar_zernike(grid, spec))) <= 1e-12
 
 
 class TestEllipse:
@@ -332,7 +400,7 @@ class TestConventionAgreement:
         sent = make_pol_state(label, ell)
         f = make_spin_orbit_field(sent.amplitudes, grid)
         for analyzer in PolLabel:
-            fraction = float(project_intensity(f, analyzer).sum()) / f.total_intensity()
+            fraction = float(project_intensity(f, analyzer).sum()) / _norm(f.eh, f.ev) ** 2
             assert abs(fraction - overlap_prob(make_pol_state(analyzer, ell), sent)) <= 1e-12
 
 
