@@ -4,8 +4,10 @@
 Times, in one process and on the flume channel (one channel at 30 m, or 31
 channels at 0, 3, ..., 90 m, as in a 3 m ``uwqkd sweep``):
 
-- ``optimize._row_best`` on 1 x 9, 31 x 9 and 31 x 64 mu points (a zoom row
-  and the coarse row), one ``_k_grid`` call each;
+- ``optimize._k_rows`` on 31 x 64 mu points (the coarse row), on 1 x 5 and
+  31 x 5 (a refinement stencil, its stage rows repeated once beforehand, as
+  ``optimize_mu_nu`` does) and on 31 x 1 (the final estimate), one
+  ``_k_grid`` call each;
 - ``decoy.evaluate_key_rate`` on 1 and on 31 channels;
 - ``optimize.optimize_mu_nu`` on 1 and on 31 channels;
 - one default ``optimize.max_secure_distance``.
@@ -31,7 +33,7 @@ import numpy as np  # noqa: E402
 
 from uwqkd.channel import ChannelParams  # noqa: E402
 from uwqkd.decoy import _channel_columns, _nu_stage, evaluate_key_rate  # noqa: E402
-from uwqkd.optimize import OptimizerConfig, _grid, _row_best, max_secure_distance, optimize_mu_nu  # noqa: E402
+from uwqkd.optimize import OptimizerConfig, _grid, _k_rows, max_secure_distance, optimize_mu_nu  # noqa: E402
 
 SAMPLE_S = 2e-3  # wall time of one timed sample
 
@@ -41,15 +43,16 @@ def cases() -> dict:
     cfg = OptimizerConfig()
     p = ChannelParams(length_m=30.0)
     ps = [ChannelParams(length_m=x) for x in np.linspace(0.0, 90.0, 31)]
-    mus, zooms = _grid(cfg)
-    stage1, stage31 = (_nu_stage(_channel_columns(batch), cfg.nu_min) for batch in ([p], ps))
-    zoom1, zoom31 = (np.full((n, 1), 0.3) * zooms[0] for n in (1, 31))
-    coarse31 = np.broadcast_to(mus, (31, mus.size))
+    stage1, stage31 = (_nu_stage(_channel_columns(batch), cfg.nu_min)[:, :, None] for batch in ([p], ps))
+    stencil1, stencil31 = (np.repeat(s, 5, axis=2) for s in (stage1, stage31))
+    mu1x5, mu31x5 = (np.full((n, 1), 0.3) * np.exp(0.01 * np.arange(-2.0, 3.0)) for n in (1, 31))
+    coarse31, vertex31 = np.tile(_grid(cfg), (31, 1)), np.full((31, 1), 0.3)
     mu31, nu31 = np.full(31, 0.3), np.full(31, cfg.nu_min)
     return {
-        "_row_best 1x9": lambda: _row_best(stage1, zoom1),
-        "_row_best 31x9": lambda: _row_best(stage31, zoom31),
-        "_row_best 31x64": lambda: _row_best(stage31, coarse31),
+        "_k_rows 1x5": lambda: _k_rows(stencil1, mu1x5),
+        "_k_rows 31x5": lambda: _k_rows(stencil31, mu31x5),
+        "_k_rows 31x1": lambda: _k_rows(stage31, vertex31),
+        "_k_rows 31x64": lambda: _k_rows(stage31, coarse31),
         "evaluate_key_rate 1 ch": lambda: evaluate_key_rate(p, 0.3, cfg.nu_min),
         "evaluate_key_rate 31 ch": lambda: evaluate_key_rate(ps, mu31, nu31),
         "optimize_mu_nu 1 ch": lambda: optimize_mu_nu(p, cfg),

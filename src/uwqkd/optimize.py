@@ -1,10 +1,10 @@
 """Key rate maximization over (mu, nu) and rate-distance analysis.
 
 The weakest decoy is best (Ma, Qi, Zhao and Lo, PRA 72, 012326, 2005), so a
-batch of channels is optimized over mu alone at nu = nu_min (see
-``OptimizerConfig``).  K depends on nu only through the bounds of
-``decoy._decoy_nu`` and ``decoy._decoy_bounds``; with Poisson yields,
-Q_x e^x = sum_n Y_n x^n / n!, and Y1 = Q1 e^mu / mu, they read
+batch of channels is optimized over mu alone at nu = nu_min, by a coarse row
+and batched interpolation in log mu (see ``OptimizerConfig``).  K depends on nu
+only through the bounds of ``decoy._decoy_nu`` and ``decoy._decoy_bounds``; with
+Poisson yields, Q_x e^x = sum_n Y_n x^n / n!, and Y1 = Q1 e^mu / mu, they read
     Q1 = mu e^-mu [Y1 - mu nu sum_{n>=3} (Y_n / n!) sum_{k=0}^{n-3} mu^k nu^(n-3-k)],
     e1 Y1 = sum_{n>=1} [Y0/2 + e_det (Y_n - Y0)] nu^(n-1) / n!.
 So Q1 falls and e1 rises with nu, clamps included, while Q_mu, E_mu and a QBER
@@ -37,7 +37,7 @@ from .decoy import (
 )
 
 _CHUNK_POINTS = 2 * 64 * 64  # kernel points per call, bounding its temporaries
-_ZOOM = np.linspace(-1.0, 1.0, 9)  # zoom offsets in box half-widths; 0 is the current best
+_STENCIL = np.arange(-2.0, 3.0)  # refinement points, in steps of log mu around the stencil's centre
 _LEVELS = 4  # bisection steps of max_secure_distance decided per optimize_mu_nu batch
 
 
@@ -50,9 +50,15 @@ class OptimizerConfig:
     """Search space and effort of ``optimize_mu_nu``.
 
     mu is searched at nu_min: a log-uniform coarse row from 2 nu_min to mu_max,
-    then three zoom rounds per ``refine_iterations`` pass (0 keeps the coarse
-    optimum), each 9 points in log mu around the best one, with a half-width
-    of one coarse step that shrinks by 4x per round.  Ties go to the smaller mu.
+    then ``refine_iterations`` kernel calls (0 keeps the coarse optimum; the
+    default 3 makes 4 calls in all) of interpolation in log mu, after Brent
+    (Algorithms for Minimization without Derivatives, 1973, ch. 5).  From the
+    parabola through the coarse argmax and its neighbours on, each call but the
+    last evaluates 5 points around the estimated peak (around the best point
+    where the last points show none), a step apart that starts at a
+    quarter of the coarse step and shrinks 16x per call, and ``_vertex``
+    estimates the peak anew; the last call evaluates the estimate.  A point is
+    kept only if its K is at least the best so far; ties go to the smaller mu.
     """
 
     mu_max: float = 1.0
@@ -86,7 +92,7 @@ class RatePoint:
 
 def _k_grid(stage: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Key rate on a mu array, from the rows of ``decoy._nu_stage`` reshaped to
-    broadcast against it (``_row_best`` passes them at mu's shape, which makes
+    broadcast against it (``_k_rows`` passes them at mu's shape, which makes
     each numpy call cheaper than a broadcast); invalid points and non-finite
     K -> -inf, so that ``np.argmax`` never picks a NaN.  ``_key_rate_arrays``
     holds the ``np.errstate`` of the decoy bounds."""
@@ -96,32 +102,75 @@ def _k_grid(stage: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _grid(cfg: OptimizerConfig) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The log-uniform coarse mu axis and, per zoom round, the factors
-    exp(half-width * _ZOOM) on mu; built once per config, read-only."""
+def _grid(cfg: OptimizerConfig) -> np.ndarray:
+    """The log-uniform coarse mu axis; built once per config, read-only."""
     mus = np.geomspace(2 * cfg.nu_min, cfg.mu_max, cfg.coarse_grid)
-    halves = np.log(mus[1] / mus[0]) / 4.0 ** np.arange(3 * cfg.refine_iterations)
-    zooms = tuple(np.exp(h * _ZOOM) for h in halves)
-    for a in (mus, *zooms):
-        a.flags.writeable = False
-    return mus, zooms
+    mus.flags.writeable = False
+    return mus
 
 
-def _row_best(stage: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best K on each channel's row of ``mu``, given the channels' ``decoy._nu_stage``
-    columns, and its mu (the first maximum, so the smaller mu of an ascending row),
-    in kernel calls of at most ``_CHUNK_POINTS`` points, which bounds their
-    temporaries.  Each call gets the stage rows repeated to the chunk's shape
-    (one copy of at most 11 x ``_CHUNK_POINTS`` floats), so that the kernel's
-    numpy calls take same-shape operands and do not broadcast."""
-    k_best, mu_best = np.empty(len(mu)), np.empty(len(mu))
+def _k_rows(stage: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """K on each channel's row of ``mu``, in kernel calls of at most
+    ``_CHUNK_POINTS`` points, which bounds their temporaries.  The
+    ``decoy._nu_stage`` rows come as (rows, channels, 1), repeated here to each
+    chunk's shape (at most 11 x ``_CHUNK_POINTS`` floats), or already at mu's
+    shape, so that the kernel's numpy calls take same-shape operands."""
+    k = np.empty(mu.shape)
     step = max(1, _CHUNK_POINTS // mu.shape[1])
     for c in range(0, len(mu), step):
-        rows = mu[c : c + step]
-        k = _k_grid(np.repeat(stage[:, c : c + step, None], rows.shape[1], axis=2), rows)
-        at, j = np.arange(len(rows)), np.argmax(k, axis=1)
-        k_best[c : c + step], mu_best[c : c + step] = k[at, j], rows[at, j]
-    return k_best, mu_best
+        s, rows = stage[:, c : c + step], mu[c : c + step]
+        if s.shape[2] != rows.shape[1]:
+            s = np.repeat(s, rows.shape[1], axis=2)
+        k[c : c + step] = _k_grid(s, rows)
+    return k
+
+
+def _vertex(x: np.ndarray, step: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Estimated peak of K from K at x + offsets * step (the columns of k: 3 or
+    5 offsets, centred on 0): the local maximum of the polynomial through the
+    points, by one Newton step from that of the cubic with its first three
+    derivatives at x, and where there is one; x where there is none."""
+    f = k.T
+    with np.errstate(all="ignore"):  # a K of -inf gives a root that is not finite
+        if len(f) == 3:  # twice the first two derivatives, times step and step**2
+            d1, d2, d3, d4 = f[2] - f[0], 2 * (f[0] + f[2]) - 4 * f[1], 0.0, 0.0
+        else:  # 12 times the first four derivatives, times step, ..., step**4
+            a, b, inner, outer = f[3] - f[1], f[4] - f[0], f[1] + f[3], f[0] + f[4]
+            d1, d2 = 8 * a - b, 16 * inner - outer - 30 * f[2]
+            d3, d4 = 6 * b - 12 * a, 12 * outer - 48 * inner + 72 * f[2]
+        disc = d2 * d2 - 2 * d1 * d3
+        u = 2 * d1 / (np.sqrt(disc) - d2)
+        root = x + step * (u - d4 * u**3 / 6 / (d2 + d3 * u + d4 * u * u / 2))
+    peak = (disc > 0) & np.isfinite(root)
+    return np.where(peak, root, x), peak
+
+
+def _refine(stage: np.ndarray, k: np.ndarray, j: np.ndarray, mus: np.ndarray, calls: int) -> np.ndarray:
+    """mu of the best K that ``calls`` kernel calls find (see ``OptimizerConfig``),
+    given the live channels' stage rows as (rows, channels, 1), their coarse K
+    rows ``k`` and the rows' argmax ``j``."""
+    at, lo, hi = np.arange(len(k)), math.log(mus[0]), math.log(mus[-1])
+    jc = np.minimum(np.maximum(j, 1), mus.size - 2)
+    kk, kb, mb = k[at[:, None], jc[:, None] + (-1, 0, 1)], k[at, j], mus[j]
+    x, step = np.log(mus[jc]), math.log(mus[1] / mus[0])
+    stencil = np.repeat(stage, _STENCIL.size, axis=2)  # once per search, for every stencil call
+    for r in range(calls):
+        v, peak = _vertex(x, step, kk / kb[:, None])  # K of order 1: no subnormal products
+        v = np.minimum(np.maximum(v, lo), hi)
+        if r == calls - 1:  # the final estimate alone
+            mz, s = np.where(peak, np.exp(v), mb)[:, None], stage
+        else:
+            x = np.where(peak, v, np.log(mb))
+            step /= 16 if r else 4
+            x = np.minimum(np.maximum(x, lo + 2 * step), hi - 2 * step)  # the stencil inside the box
+            mz, s = np.exp(x[:, None] + step * _STENCIL), stencil
+        mz = np.minimum(np.maximum(mz, mus[0]), mus[-1])  # exp(log) may step an ulp outside
+        kk = _k_rows(s, mz)
+        jz = np.argmax(kk, axis=1)
+        up = kk[at, jz] >= kb  # so K never falls below the coarse best
+        np.copyto(kb, kk[at, jz], where=up)
+        np.copyto(mb, mz[at, jz], where=up)
+    return mb
 
 
 def optimize_mu_nu(
@@ -141,17 +190,15 @@ def optimize_mu_nu(
     if not ps:
         return []
     nu = float(cfg.nu_min)
-    stage = _nu_stage(_channel_columns(ps, qber), nu)  # once for the coarse row and every zoom
-    mus, zooms = _grid(cfg)
-    best_k, mu = _row_best(stage, np.broadcast_to(mus, (len(ps), mus.size)))
+    stage = _nu_stage(_channel_columns(ps, qber), nu)[:, :, None]  # once for every kernel call
+    mus = _grid(cfg)
+    k = _k_rows(stage, np.tile(mus, (len(ps), 1)))
+    at, j = np.arange(len(ps)), np.argmax(k, axis=1)
+    best_k, mu = k[at, j], mus[j]
 
     live = np.flatnonzero(best_k > 0)
-    s, m, kb = stage[:, live], mu[live], best_k[live]
-    for zoom in zooms:
-        kz, mz = _row_best(s, np.minimum(np.maximum(m[:, None] * zoom, mus[0]), mus[-1]))
-        up = kz >= kb  # so K never falls below the coarse best
-        kb, m = np.where(up, kz, kb), np.where(up, mz, m)
-    mu[live] = m
+    if cfg.refine_iterations and live.size:
+        mu[live] = _refine(stage[:, live], k[live], j[live], mus, cfg.refine_iterations)
 
     results = evaluate_key_rate(ps, mu, np.full(len(ps), nu), qber)
     return results[0] if single else results

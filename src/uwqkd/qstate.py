@@ -156,26 +156,13 @@ class ProbMatrix:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
+        if not (self.row_labels and self.col_labels):
+            raise ValueError("a detection matrix needs at least one sent state and one projection")
         if v.shape != (len(self.row_labels), len(self.col_labels)):
             raise ValueError("matrix shape does not match labels")
         if not np.all((v >= -1e-12) & (v <= 1 + 1e-12)):  # written so that NaN fails it
             raise ValueError("probabilities must lie in [0,1]")
         object.__setattr__(self, "values", v)
-
-
-def detection_matrix(
-    sent: list[SpinOrbitState],
-    projections: list[SpinOrbitState],
-    row_labels: list[str] | None = None,
-    col_labels: list[str] | None = None,
-) -> ProbMatrix:
-    """Full probability-of-detection matrix from pairwise overlaps."""
-    if not sent or not projections:
-        raise ValueError("sent and projection sequences must be non-empty")
-    rows = tuple(row_labels) if row_labels else tuple(f"s{i}" for i in range(len(sent)))
-    cols = tuple(col_labels) if col_labels else tuple(f"p{j}" for j in range(len(projections)))
-    values = np.array([[overlap_prob(s, p) for p in projections] for s in sent])
-    return ProbMatrix(rows, cols, values)
 
 
 def qber_from_matrix(m: ProbMatrix, basis_assignment: dict[str, int]) -> float:

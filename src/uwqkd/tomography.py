@@ -147,7 +147,8 @@ def make_spin_orbit_field(
         if pol not in ("L", "R"):
             raise ValueError(f"polarization label must be 'L' or 'R', got {pol!r}")
         jones = _JONES[PolLabel(pol)]
-        env = gauss * (math.sqrt(2) * (x + 1j * np.sign(ell) * y)) ** abs(ell)
+        env = math.sqrt(2) * (x + 1j * np.sign(ell) * y)
+        env = gauss * (env if abs(ell) == 1 else env ** abs(ell))  # numpy's complex z ** 1 is slow, and is z
         eh += a * jones[0] * env
         ev += a * jones[1] * env
     norm = _norm(eh, ev, grid)
@@ -219,23 +220,6 @@ def reconstruct_stokes(intensities: dict[PolLabel, np.ndarray]) -> StokesField:
         for a, b in ((PolLabel.H, PolLabel.V), (PolLabel.D, PolLabel.A), (PolLabel.L, PolLabel.R))
     )
     return StokesField(s1=s1, s2=s2, s3=s3, intensity=i_tot, valid=valid)
-
-
-def polarization_ellipse(s: tuple[float, float, float]) -> tuple[float, float]:
-    """(orientation, ellipticity) angles of the polarization ellipse.
-
-    Orientation is in (-pi/2, pi/2]; ellipticity in [-pi/4, pi/4] with
-    +pi/4 for L circular.
-    """
-    s1, s2, s3 = s
-    norm = math.sqrt(s1**2 + s2**2 + s3**2)
-    if not 0 < norm < math.inf:  # written so that NaN fails it
-        raise ValueError(f"undefined polarization: zero or non-finite Stokes vector {s!r}")
-    orientation = 0.5 * math.atan2(s2, s1)
-    if orientation <= -math.pi / 2:
-        orientation += math.pi
-    ellipticity = 0.5 * math.asin(max(-1.0, min(1.0, s3 / norm)))
-    return orientation, ellipticity
 
 
 def mode_overlap(a: VectorField, b: VectorField) -> float:

@@ -88,6 +88,20 @@ def rel(a, b):
 
 
 class TestAgainstMpmath:
+    @staticmethod
+    def check(p, mu, nu):
+        res = evaluate_key_rate(p, mu, nu)
+        c = res.components
+        q1, e1, k, scale = reference(p, mu, nu)
+        assert rel(c["q1_lower"], q1) <= 1e-12
+        assert rel(c["e1_upper"], e1) <= 1e-12
+        assert abs(mpf(res.k_per_pulse) - max(k, 0)) <= 1e-12 * scale
+        # Q1 from the rounded gains, as for measured data
+        with mp.workdps(50):
+            q1_gains = q1_reference(*map(mpf, (c["q_mu"], c["q_nu"], mu, nu, c["y0"])))
+        stats = GainStats(c["q_mu"], c["e_mu"], c["q_nu"], c["e_nu"], c["y0"])
+        assert rel(estimate_single_photon(stats, mu, nu).q1_lower, q1_gains) <= 1e-12
+
     @pytest.mark.parametrize("e_det", [0.0, 0.0027])
     def test_small_nu_up_to_cutoff(self, e_det):
         # nu in [1e-4, 1e-2] and lengths to the ~79 m cutoff: the points where
@@ -95,20 +109,17 @@ class TestAgainstMpmath:
         rng = np.random.default_rng(7)
         base = ChannelParams(e_det=e_det)
         for _ in range(150):
-            p = base.at_length(rng.uniform(0.0, 79.0))
-            mu = rng.uniform(0.05, 1.0)
-            nu = 10 ** rng.uniform(-4, -2)
-            res = evaluate_key_rate(p, mu, nu)
-            c = res.components
-            q1, e1, k, scale = reference(p, mu, nu)
-            assert rel(c["q1_lower"], q1) <= 1e-12
-            assert rel(c["e1_upper"], e1) <= 1e-12
-            assert abs(mpf(res.k_per_pulse) - max(k, 0)) <= 1e-12 * scale
-            # Q1 from the rounded gains, as for measured data
-            with mp.workdps(50):
-                q1_gains = q1_reference(*map(mpf, (c["q_mu"], c["q_nu"], mu, nu, c["y0"])))
-            stats = GainStats(c["q_mu"], c["e_mu"], c["q_nu"], c["e_nu"], c["y0"])
-            assert rel(estimate_single_photon(stats, mu, nu).q1_lower, q1_gains) <= 1e-12
+            self.check(base.at_length(rng.uniform(0.0, 79.0)), rng.uniform(0.05, 1.0), 10 ** rng.uniform(-4, -2))
+
+    @pytest.mark.parametrize("e_det", [0.0, 0.0027, 0.02])
+    def test_wide_domain(self, e_det):
+        # lengths to 200 m, nu down to 1e-7 and dark rates from 30 Hz to 300 kHz,
+        # where the background dwarfs the decoy's signal gain
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            dark_hz = 10 ** rng.uniform(math.log10(30.0), math.log10(3e5))
+            p = ChannelParams(e_det=e_det, length_m=rng.uniform(0.0, 200.0), dark_rate_hz=dark_hz)
+            self.check(p, rng.uniform(0.05, 1.0), 10 ** rng.uniform(-7, -2))
 
 
 class TestScalarAndGridAgree:

@@ -19,18 +19,20 @@ from uwqkd.decoy import (
 )
 from uwqkd.optimize import (
     _CHUNK_POINTS,
-    _ZOOM,
     DeadChannelError,
     OptimizerConfig,
     _grid,
     _k_grid,
-    _row_best,
+    _k_rows,
+    _vertex,
     distance_sweep,
     max_secure_distance,
     optimize_mu_nu,
 )
 
 FAST = OptimizerConfig(coarse_grid=32, refine_iterations=2)
+# zoom offsets in box half-widths of the zoom refinement that interpolation replaced; 0 is the current best
+ZOOM = np.linspace(-1.0, 1.0, 9)
 # K and flags of the 0-90 m curves from the golden-section optimizer that the
 # zoom refinement replaced
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_section_sweeps.json").read_text())
@@ -64,15 +66,44 @@ def grid_2d_search(ps, cfg=OptimizerConfig(), qber=None):
     steps = np.log([mus[1] / mus[0], nus[1] / nus[0]])
     for r in range(3 * cfg.refine_iterations):
         half = steps / 4.0**r
-        mz = np.clip(m[:, None] * np.exp(half[0] * _ZOOM), mus[0], mus[-1])
-        vz = np.clip(v[:, None] * np.exp(half[1] * _ZOOM), nus[0], nus[-1])
-        kz = _k_grid(_nu_stage(c, vz[:, None, :]), mz[:, :, None]).reshape(live.size, _ZOOM.size**2)
+        mz = np.clip(m[:, None] * np.exp(half[0] * ZOOM), mus[0], mus[-1])
+        vz = np.clip(v[:, None] * np.exp(half[1] * ZOOM), nus[0], nus[-1])
+        kz = _k_grid(_nu_stage(c, vz[:, None, :]), mz[:, :, None]).reshape(live.size, ZOOM.size**2)
         j = np.argmax(kz, axis=1)
         up = kz[at, j] >= kb
         kb = np.where(up, kz[at, j], kb)
-        m, v = np.where(up, mz[at, j // _ZOOM.size], m), np.where(up, vz[at, j % _ZOOM.size], v)
+        m, v = np.where(up, mz[at, j // ZOOM.size], m), np.where(up, vz[at, j % ZOOM.size], v)
     mu[live], nu[live] = m, v
     return evaluate_key_rate(ps, mu, nu, qber)
+
+
+def zoom_search(ps, cfg=OptimizerConfig(), qber=None):
+    """The refinement that interpolation replaced, over mu alone at nu_min: the
+    coarse row's best point, then 3 x ``refine_iterations`` rounds of 9 points in
+    log mu around the best one, with a half-width of one coarse step that
+    shrinks by 4x per round; a point is kept if its K is at least the best."""
+    stage = _nu_stage(_channel_columns(ps, qber), cfg.nu_min)[:, :, None]
+    mus = np.geomspace(2 * cfg.nu_min, cfg.mu_max, cfg.coarse_grid)
+    k = _k_grid(stage, mus)
+    j = np.argmax(k, axis=1)
+    kb, mu = k[np.arange(len(ps)), j], mus[j]
+    live = np.flatnonzero(kb > 0)
+    s, m, b, at = stage[:, live], mu[live], kb[live], np.arange(live.size)
+    for r in range(3 * cfg.refine_iterations):
+        mz = np.clip(m[:, None] * np.exp(np.log(mus[1] / mus[0]) / 4.0**r * ZOOM), mus[0], mus[-1])
+        kz = _k_grid(s, mz)
+        jz = np.argmax(kz, axis=1)
+        up = kz[at, jz] >= b
+        b, m = np.where(up, kz[at, jz], b), np.where(up, mz[at, jz], m)
+    mu[live] = m
+    return evaluate_key_rate(ps, mu, np.full(len(ps), cfg.nu_min), qber)
+
+
+def dense_row_max(p, cfg=OptimizerConfig(), q=None, points=200_001):
+    """Best K and its mu on a log-uniform row of ``points`` mu at nu_min."""
+    mus = np.geomspace(2 * cfg.nu_min, cfg.mu_max, points)
+    k = _k_grid(_nu_stage(_channel_columns([p], [q]), cfg.nu_min)[:, :, None], mus)[0]
+    return k.max(), mus[np.argmax(k)]
 
 
 class TestConfig:
@@ -139,6 +170,32 @@ class TestOptimizeMuNu:
         refined = optimize_mu_nu(p, OptimizerConfig(refine_iterations=3))
         assert refined.k_per_pulse >= coarse.k_per_pulse - 1e-15
 
+    @pytest.mark.parametrize(
+        "params,cfg,end",
+        [
+            # the optimum, mu = 0.9177, just below mu_max, next to the coarse row's last point
+            ({"length_m": 10.0}, OptimizerConfig(mu_max=0.927), -1),
+            # K still rises at mu_max: the optimum is mu_max itself
+            ({"length_m": 10.0}, OptimizerConfig(mu_max=0.5), -1),
+            # the lossless channel, whose optimum lies 3e-5 below mu_max = 1
+            ({"alpha_db_per_m": 0.0, "eta_detector": 1, "eta_bob": 1, "dark_rate_hz": 0, "e_det": 0.0},
+             OptimizerConfig(), -1),
+            # the optimum, mu = 0.6855, inside the first coarse step
+            ({"length_m": 10.0}, OptimizerConfig(nu_min=0.33, mu_max=100.0), 0),
+        ],
+    )
+    def test_edge_optima_match_oracles(self, params, cfg, end):
+        p = ChannelParams(**params)
+        mus = _grid(cfg)
+        assert optimize_mu_nu(p, replace(cfg, refine_iterations=0)).mu == mus[end]
+        res = optimize_mu_nu(p, cfg)
+        assert res.k_per_pulse >= zoom_search([p], cfg)[0].k_per_pulse * (1 - 1e-12)
+        k_dense, mu_dense = dense_row_max(p, cfg)
+        assert res.k_per_pulse >= k_dense
+        # within one step of the dense row, whose K no point of the row beats
+        assert abs(math.log(res.mu / mu_dense)) <= math.log(mus[-1] / mus[0]) / 200_000
+        assert cfg.nu_min < res.mu <= cfg.mu_max
+
     def test_deterministic(self, flume_params):
         p = flume_params.at_length(15.0)
         assert optimize_mu_nu(p) == optimize_mu_nu(p)
@@ -154,22 +211,17 @@ class TestOptimizeMuNu:
 class TestGridCache:
     def test_equal_configs_share_read_only_arrays(self):
         a, b = _grid(OptimizerConfig(coarse_grid=20)), _grid(OptimizerConfig(coarse_grid=20))
-        assert a[0] is b[0] and a[1] is b[1]
-        for arr in (a[0], *a[1]):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 1.0
+        assert a is b
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
 
     @pytest.mark.parametrize("change", [{"mu_max": 2.0}, {"nu_min": 1e-3}, {"coarse_grid": 33}])
     def test_other_config_gets_its_own_grid(self, change):
         base = OptimizerConfig()
         cfg = replace(base, **change)
-        mus, zooms = _grid(cfg)
-        assert not np.array_equal(mus, _grid(base)[0])
+        mus = _grid(cfg)
+        assert not np.array_equal(mus, _grid(base))
         assert np.array_equal(mus, np.geomspace(2 * cfg.nu_min, cfg.mu_max, cfg.coarse_grid))
-        # half-widths start at one coarse log step and shrink 4x per round, 3 rounds per pass
-        assert len(zooms) == 3 * cfg.refine_iterations
-        for r, zoom in enumerate(zooms):
-            np.testing.assert_allclose(zoom, np.exp(np.log(mus[1] / mus[0]) / 4.0**r * _ZOOM), rtol=1e-14)
 
     def test_cached_call_gives_identical_result(self, flume_params):
         cfg = OptimizerConfig(coarse_grid=37, refine_iterations=2)
@@ -208,6 +260,41 @@ searches = st.builds(
 )
 
 
+def assert_not_below(res, ref, f_ec):
+    """K at most 1e-12 (relative) below the reference's, or by less than the
+    rounding of K: a difference of terms of order Q1 and f_ec Q_mu, each known
+    to about 1e-16 (near a cutoff, or with e1 near 1/2, that is far more than
+    1e-12 of K)."""
+    c = ref.components
+    rounding = 1e-15 * (c["q1_lower"] + f_ec * c["q_mu"])
+    assert res.k_per_pulse >= ref.k_per_pulse * (1 - 1e-12) - rounding, (res, ref)
+
+
+class TestVertex:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-2, 2), st.floats(-0.2, 0.2), st.floats(0.1, 10), st.floats(1e-3, 1.0), st.floats(-3, 3))
+    def test_exact_on_parabolas_and_cubics(self, peak, cubic, curvature, step, x):
+        # K = -curvature (u - peak)^2 + cubic (u - peak)^3 in steps u from x; the cubic
+        # term is small enough that the peak is the local maximum nearest x
+        u = np.arange(-2.0, 3.0)
+        k = -curvature * (u - peak) ** 2 + cubic * (u - peak) ** 3
+        v5, found5 = _vertex(np.array([x]), np.array([step]), k[None])
+        assert found5[0] and v5[0] == pytest.approx(x + peak * step, abs=1e-9 * step)
+        if abs(peak) <= 1:
+            v3, found3 = _vertex(np.array([x]), np.array([step]), (k[1:4] - cubic * (u[1:4] - peak) ** 3)[None])
+            assert found3[0] and v3[0] == pytest.approx(x + peak * step, abs=1e-9 * step)
+
+    @pytest.mark.parametrize(
+        "k",
+        [[1.0, 2.0, 3.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 2.0, -np.inf], [1.0, 2.0, 3.0, 2.0, -np.inf],
+         [-np.inf, 2.0, 3.0, 2.0, 1.0], [1.0, -np.inf, 3.0, 2.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0]],
+    )
+    def test_no_maximum_keeps_the_centre(self, k):
+        # a line, a convex or flat parabola, a flat row, or a point with no valid K
+        v, found = _vertex(np.array([0.5]), np.array([0.1]), np.array([k]))
+        assert not found[0] and v[0] == 0.5
+
+
 def in_range(p, mu_max):
     eta = transmittance(p)
     return eta >= 1e-300 and background_yield(p) <= math.exp(-eta * mu_max)
@@ -223,13 +310,23 @@ class TestSearchOverMuAlone:
         specs = [(p, q) for p, q in specs if in_range(p, cfg.mu_max)]
         assume(specs)
         ps, qs = [p for p, _ in specs], [q for _, q in specs]
-        assert optimize_mu_nu(ps, cfg, qs) == grid_2d_search(ps, cfg, qs)
+        coarse = replace(cfg, refine_iterations=0)
+        assert optimize_mu_nu(ps, coarse, qs) == grid_2d_search(ps, coarse, qs)
+        # the zoom over mu alone matches the (mu, nu) zoom, and interpolation is
+        # not below it at the default effort, nor below the coarse row at any
+        zoomed = zoom_search(ps, cfg, qs)
+        assert zoomed == grid_2d_search(ps, cfg, qs)
+        for p, res, zoom, first in zip(ps, optimize_mu_nu(ps, cfg, qs), zoomed, optimize_mu_nu(ps, coarse, qs)):
+            assert res.k_per_pulse >= first.k_per_pulse
+            if cfg.refine_iterations >= 3:
+                assert_not_below(res, zoom, p.f_ec)
+            assert cfg.nu_min == res.nu < res.mu <= cfg.mu_max
 
     @settings(max_examples=300, deadline=None)
     @given(channels, st.none() | st.floats(0, 0.1), st.integers(0, 63), searches)
     def test_k_non_increasing_in_nu(self, p, q, i, cfg):
         # a row of the (mu, nu) grid that ``grid_2d_search`` starts from
-        mus = _grid(cfg)[0]
+        mus = _grid(cfg)
         mu = mus[i % mus.size]
         assume(in_range(p, cfg.mu_max))
         nus = np.geomspace(cfg.nu_min, cfg.mu_max * (1 - 1e-9), cfg.coarse_grid)
@@ -252,6 +349,23 @@ class TestSearchOverMuAlone:
         assert len(points) > 3 and max(points) <= _CHUNK_POINTS
         monkeypatch.undo()
         assert batch[::50] == [optimize_mu_nu(p) for p in ps[::50]]
+
+    @pytest.mark.parametrize("refine", [0, 1, 3, 5])
+    def test_one_kernel_call_per_refinement_step(self, flume_params, monkeypatch, refine):
+        import uwqkd.optimize as opt
+
+        shapes, inner = [], opt._k_grid
+
+        def counted(stage, mu):
+            shapes.append(mu.shape)
+            return inner(stage, mu)
+
+        monkeypatch.setattr(opt, "_k_grid", counted)
+        # 31 lengths of a 3 m sweep, 27 of them with a key
+        optimize_mu_nu([flume_params.at_length(x) for x in np.linspace(0, 90, 31)],
+                       OptimizerConfig(refine_iterations=refine))
+        stencils = [(27, 5)] * max(0, refine - 1)
+        assert shapes == [(31, 64), *stencils, *[(27, 1)] * min(1, refine)]
 
     def test_nu_stage_built_once_per_search(self, flume_params, monkeypatch):
         import uwqkd.decoy as decoy
@@ -570,32 +684,30 @@ class TestMaxSecureDistance:
 
 
 class TestKernelOperands:
-    """``_row_best`` hands ``_k_grid`` stage rows repeated to the chunk's shape,
-    and the kernel holds its own ``np.errstate``."""
+    """``_k_rows`` hands ``_k_grid`` stage rows at the chunk's shape, and the
+    kernel holds its own ``np.errstate``."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.tuples(channels, st.none() | st.just(0.0) | st.floats(0, 0.1)), min_size=1, max_size=8),
         st.integers(1, 300),
         # 4097 points leave room for one channel per chunk; 300 x 64 points are three chunks
-        st.sampled_from([1, 9, 64, 4097]),
+        st.sampled_from([1, 5, 64, 4097]),
         st.integers(0, 2**32 - 1),
+        st.booleans(),
     )
-    def test_row_best_equals_argmax_on_broadcast_batch(self, specs, n, points, seed):
+    def test_k_rows_equal_kernel_on_broadcast_batch(self, specs, n, points, seed, repeated):
         ps, qs = [p for p, _ in specs], [q for _, q in specs]
         ps, qs = (ps * n)[:n], (qs * n)[:n]
         nu = 1e-4
-        stage = _nu_stage(_channel_columns(ps, qs), nu)
+        stage = _nu_stage(_channel_columns(ps, qs), nu)[:, :, None]
         if points == 64:  # the coarse row, as optimize_mu_nu passes it
-            mu = np.broadcast_to(_grid(OptimizerConfig())[0], (n, points))
+            mu = np.tile(_grid(OptimizerConfig()), (n, 1))
         else:  # log-uniform from below nu (invalid points) to 1
             mu = np.exp(np.random.default_rng(seed).uniform(math.log(nu / 2), 0.0, (n, points)))
-        k = _k_grid(stage[:, :, None], mu)
-        j = np.argmax(k, axis=1)
-        at = np.arange(n)
-        k_best, mu_best = _row_best(stage, mu)
-        assert k_best.tobytes() == k[at, j].tobytes()
-        assert mu_best.tobytes() == mu[at, j].tobytes()
+        # rows repeated per chunk, or once for every call, as for the refinement stencil
+        rows = np.repeat(stage, points, axis=2) if repeated and points <= 64 else stage
+        assert _k_rows(rows, mu).tobytes() == _k_grid(stage, mu).tobytes()
 
     # e^mu overflows at mu >= 710, and r (mu - nu) underflows at nu = 1e-300 and 1e-200
     @pytest.mark.parametrize("mu,nu,finite", [(710.0, 1e-4, False), (1e300, 1e-4, False),

@@ -9,7 +9,10 @@ writer produced.  The Stokes CSV and JSON hashes were recorded when
 ``uwqkd.tomography`` began to sample fields and Zernike screens from Cartesian
 pixel coordinates instead of (r, phi), after each Stokes map was checked to lie
 within 1e-14 of the polar sampling's, with the same ``valid`` mask and the same
-PGMs.
+PGMs.  The sweep, keyrate (optimized) and optimize hashes were re-recorded when
+the optimizer's zoom rounds gave way to interpolation, after each moved K was
+checked to be at least the best K of a 200 001-point mu row, and each mu to
+lie within half a step of that row's best; every cutoff stayed the same.
 
 The writers under test: ``write_pgm`` writes the P5 header and the scaled
 pixels as big-endian ``u2``; the Stokes CSV formats each distinct bit pattern

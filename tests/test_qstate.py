@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from uwqkd.qstate import (
     PolLabel,
+    ProbMatrix,
     SpinOrbitState,
-    detection_matrix,
     make_pol_state,
     overlap_prob,
     qber_from_matrix,
@@ -61,8 +61,6 @@ class TestNonFiniteRejected:
             superpose([(c, make_pol_state(PolLabel.H)), (1, make_pol_state(PolLabel.V))])
 
     def test_prob_matrix_nan_value(self):
-        from uwqkd.qstate import ProbMatrix
-
         with pytest.raises(ValueError, match=r"\[0,1\]"):
             ProbMatrix(("s0",), ("p0", "p1"), np.array([[0.5, math.nan]]))
 
@@ -138,6 +136,13 @@ class TestVectorMub:
         assert overlap_prob(psi[0], phi[0]) == pytest.approx(0.5, abs=1e-12)
 
 
+def detection_matrix(sent, projections, row_labels=None, col_labels=None):
+    """The detection matrix of pairwise overlaps, labelled s0, s1, ... and p0, p1, ... by default."""
+    rows = tuple(row_labels or (f"s{i}" for i in range(len(sent))))
+    cols = tuple(col_labels or (f"p{j}" for j in range(len(projections))))
+    return ProbMatrix(rows, cols, np.array([[overlap_prob(s, p) for p in projections] for s in sent]))
+
+
 class TestDetectionMatrix:
     LABELS = ["H", "V", "D", "A"]
     BASIS = {"H": 0, "V": 0, "D": 1, "A": 1}
@@ -178,8 +183,10 @@ class TestDetectionMatrix:
         assert m.values[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one sent state"):
             detection_matrix([], [make_pol_state(PolLabel.H)])
+        with pytest.raises(ValueError, match="at least one sent state"):
+            ProbMatrix(("H",), (), np.empty((1, 0)))
 
     @given(st.floats(0, 2 * math.pi))
     def test_global_phase_invariance(self, theta):
@@ -203,15 +210,11 @@ class TestQber:
         assert qber_from_matrix(self.ideal(), self.BASIS) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_is_half(self):
-        from uwqkd.qstate import ProbMatrix
-
         m = ProbMatrix(tuple(self.LABELS), tuple(self.LABELS), np.full((4, 4), 0.5))
         assert qber_from_matrix(m, self.BASIS) == pytest.approx(0.5, abs=1e-12)
 
     def test_uniform_error_fraction(self):
         # every within-basis wrong outcome carries 0.037 of the basis mass
-        from uwqkd.qstate import ProbMatrix
-
         e = 0.037
         v = np.array(
             [
@@ -226,8 +229,6 @@ class TestQber:
 
     @given(st.floats(0, 1))
     def test_convex_mixture(self, lam):
-        from uwqkd.qstate import ProbMatrix
-
         ideal = self.ideal().values
         mixed = lam * ideal + (1 - lam) * np.full((4, 4), 0.5)
         m = ProbMatrix(tuple(self.LABELS), tuple(self.LABELS), mixed)
