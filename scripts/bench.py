@@ -5,8 +5,11 @@ For each of the four workloads and each of the seeds 101-110, runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once in each of two checkouts: the base revision, exported with ``git archive``
-into a scratch directory, and the working tree.  The two runs of a seed form a
+once in each of two checkouts, both exported with ``git archive`` into the
+workdir: the base revision, and the working tree's tracked files (the commit
+``git stash create`` makes of them, or HEAD when nothing has changed; ``git
+add`` a new file to include it).  Neither export holds a ``__pycache__`` when
+the runs begin, so the two sides start alike.  The two runs of a seed form a
 pair, and the side that runs first alternates from seed to seed.  One
 ``--trace 1`` run per workload and side records the per-module metrics.  The
 JSON result line of every run is kept, with each end-to-end metric's median and
@@ -72,7 +75,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", required=True, help="names the output file, BENCH_<label>.json")
     ap.add_argument("--base", required=True, help="git revision to compare the working tree with")
-    ap.add_argument("--workdir", help="where to export the base revision (default: a temporary directory)")
+    ap.add_argument("--workdir", help="where to export the two sides (default: a temporary directory)")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -82,12 +85,15 @@ def main(argv=None) -> int:
     base_sha = export(args.base, workdir / "base")
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
-    sides = {"base": workdir / "base", "change": ROOT}
+    tree = subprocess.run(["git", "stash", "create"], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+    change_sha = export(tree or head, workdir / "change")
+    sides = {"base": workdir / "base", "change": workdir / "change"}
 
     out = {
         "label": args.label,
         "base": base_sha,
-        "change": f"working tree on {head}",
+        "change": f"working tree on {head}, exported as {change_sha}",
         "seconds": seconds,
         "seeds": list(SEEDS),
         "host": {"machine": platform.machine(), "python": platform.python_version(),

@@ -117,8 +117,8 @@ def _gain_qber(mu, eta, y0, e_det):
     s = np.minimum(-np.expm1(-eta * mu), 1.0 - y0)
     q = y0 + s
     d = e_det * s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.minimum(0.5, (0.5 * y0 + d) / q)
+    # Q is 0 only where the numerator is: E is NaN there, without 0/0's warning
+    e = np.minimum(0.5, (0.5 * y0 + d) / np.where(q > 0, q, np.nan))
     return q, e, s, d
 
 

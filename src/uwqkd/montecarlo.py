@@ -5,15 +5,27 @@ per-photon binomial survival (so the analytic counterpart is exactly
 Y_n = Y0 + 1 - (1-eta)^n), dark counts OR-ed into the detection window, and
 uniform basis choice on both sides.  Double clicks (signal + dark) resolve
 to the signal outcome; dark-only clicks carry a uniformly random outcome.
-Survivors are drawn only for pulses with photons, and bases and outcomes
-only for pulses that click; no other pulse's draws could reach a count.
+
+Each block draws one uniform per pulse and turns it into a photon number by
+inversion against a Poisson CDF table built once per session.  The table stops
+at the first photon number K whose tail P(N > K) is below 2**-53, the spacing
+of the uniforms, and that tail is folded into K.  Above mu = 50
+(``_INVERSION_MU_MAX``; numpy's Poisson sampler is the faster one from about
+mu = 60 on) the photon numbers come from ``rng.poisson`` instead.  Survivors
+are drawn by a binomial for the pulses with photons only, and dark counts
+sparsely: their number from Binomial(block size, Y0), then that many distinct
+positions.  Bases and outcomes are drawn only for the pulses that click; no
+other pulse's draws could reach a count.
 
 Pulses are simulated in blocks of 2**16, each block drawing from its own
 stream derived from the master seed.  The blocks run on
 min(usable CPUs, 4, number of blocks) threads, the calling thread included;
-numpy releases the interpreter lock for the draws and the reductions.  Each
-thread takes the next block and makes its generator under one lock, so each
-thread holds one generator at a time.  Each block's counts are integers and
+numpy releases the interpreter lock inside its array calls (the draws, the
+table search and the nonzero scans) but not between them, and on the
+flume's channels the calls after the survivor draw see a few thousand values
+or fewer, so their cost is mostly call overhead under the lock.  Each thread
+takes the next block and makes its generator under one lock, so each thread
+holds one generator at a time.  Each block's counts are integers and
 are summed exactly, so results are reproducible and independent of the
 number of threads.
 """
@@ -33,6 +45,11 @@ BLOCK_SIZE = 2**16
 _MAX_THREADS = 4
 _BAND_SE = 4.0  # half-width of within_model_band's band, in standard errors
 _MU_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)  # numpy's Poisson limit
+# Largest mu whose photon numbers are drawn by inversion.  On a 2-core x86-64 host
+# (numpy 2.4) a 2**16-pulse row costs less by inversion than by rng.poisson up to
+# mu ~ 60 (20: 57 against 80 ns per pulse; 50: 64 against 67) and more above it
+# (100: 70 against 62), where the table holds ~130 entries and every pulse is lit.
+_INVERSION_MU_MAX = 50.0
 
 
 @dataclass(frozen=True)
@@ -58,23 +75,92 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _block_counts(rng: np.random.Generator, size: int, mu: float, eta: float, y0: float,
-                  e_det: float) -> tuple[int, int, int]:
+def _photon_cdf(mu: float) -> np.ndarray | None:
+    """Inversion table of Poisson(mu): P(N <= k) for k = 0 .. K-1, or None above
+    ``_INVERSION_MU_MAX``.
+
+    K is the first k with P(N > k) below 2**-53, the spacing of ``rng.random``'s
+    uniforms, and at least 1.  K is the largest photon number the table gives:
+    the mass above it, below 2**-53, is folded into K.
+    """
+    if mu > _INVERSION_MU_MAX:
+        return None
+    k = np.arange(1.0, int(mu + 40 * math.sqrt(mu) + 40))  # the tail beyond is far below 2**-53
+    # P(N = k) = P(N = k-1) mu / k rounds about once a step; exp(k log mu - lgamma(k + 1))
+    # would lose ~k log(mu) ulps to cancellation
+    pmf = math.exp(-mu) * np.cumprod(np.concatenate(([1.0], mu / k)))
+    below = np.cumsum(pmf)  # P(N <= k), summed from the head
+    above = np.cumsum(pmf[::-1])[::-1][1:]  # P(N > k), summed from the far tail
+    n = max(1, int(np.argmax(above < 2.0**-53)))
+    # each entry from whichever sum is the smaller, so it is within a few ulps
+    return np.where(below[:n] < 0.5, below[:n], 1.0 - above[:n])
+
+
+def _photons(rng: np.random.Generator, size: int, mu: float,
+             cdf: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(indices of the pulses with photons, their photon numbers) of one block.
+
+    One uniform u per pulse: u < P(N = 0) = ``cdf[0]`` leaves the pulse empty, and
+    every other pulse's photon number is the count of table entries <= u.  Without
+    a table (mu above ``_INVERSION_MU_MAX``) the numbers come from ``rng.poisson``.
+    """
+    if cdf is None:
+        photons = rng.poisson(mu, size)
+        lit = np.flatnonzero(photons)
+        return lit, photons[lit]
+    u = rng.random(size)
+    lit = np.flatnonzero(u >= cdf[0])
+    return lit, np.searchsorted(cdf, u[lit], side="right")
+
+
+def _dark(rng: np.random.Generator, size: int, y0: float) -> np.ndarray:
+    """Positions of the pulses with a dark count in one block, in no given order.
+
+    Their number is Binomial(size, y0) and they are distinct and uniformly placed,
+    so the block's dark indicators are i.i.d. Bernoulli(y0) for any y0 in [0, 1].
+    """
+    return rng.choice(size, rng.binomial(size, y0), replace=False, shuffle=False)
+
+
+def _signal(rng: np.random.Generator, size: int, lit: np.ndarray, photons: np.ndarray,
+            eta: float) -> np.ndarray:
+    """Signal-click row of one block: a binomial of survivors for the lit pulses only."""
+    signal = np.zeros(size, dtype=bool)
+    signal[lit] = rng.binomial(photons, eta) > 0
+    return signal
+
+
+def _sift(rng: np.random.Generator, signal: np.ndarray, dark: np.ndarray,
+          e_det: float) -> tuple[int, int, int]:
+    """(detections, sifted, errors) of a block's clicks, its signal clicks first.
+
+    Alice's bases, Bob's bases and an outcome flip per click: a signal click is
+    wrong with probability e_det, a dark-only click with probability 1/2.
+    """
+    n_signal = int(np.count_nonzero(signal))
+    clicks = n_signal + dark.size - int(np.count_nonzero(signal[dark]))
+    sift = rng.integers(0, 2, clicks) == rng.integers(0, 2, clicks)
+    flip = rng.random(clicks)
+    wrong = flip < e_det
+    wrong[n_signal:] = flip[n_signal:] < 0.5
+    return clicks, int(np.count_nonzero(sift)), int(np.count_nonzero(sift & wrong))
+
+
+def _block_counts(rng: np.random.Generator, size: int, mu: float, cdf: np.ndarray | None,
+                  eta: float, y0: float, e_det: float) -> tuple[int, int, int]:
     """(detections, sifted, errors) of one block.
 
-    Draw order: photon numbers, then survivors for pulses with photons only
-    (``binomial(0, eta)`` draws nothing), dark counts, then Alice's bases,
-    Bob's bases and outcome flips for the pulses that click only.
+    Draw order: photon numbers (``_photons``: one uniform per pulse inverted
+    against ``cdf``, cut off where the tail falls below 2**-53, or ``rng.poisson``
+    where mu > ``_INVERSION_MU_MAX`` and ``cdf`` is None), survivors for the pulses
+    with photons only (``_signal``), dark-count positions (``_dark``), then bases
+    and outcome flips for the clicks only (``_sift``): the signal clicks first,
+    then the dark-only clicks.
     """
-    photons = rng.poisson(mu, size)
-    lit = np.flatnonzero(photons > 0)
-    signal = np.zeros(size, dtype=bool)
-    signal[lit] = rng.binomial(photons[lit], eta) > 0
-    click = np.flatnonzero(signal | (rng.random(size) < y0))
-    sift = rng.integers(0, 2, click.size) == rng.integers(0, 2, click.size)
-    flip = rng.random(click.size)
-    wrong = np.where(signal[click], flip < e_det, flip < 0.5)
-    return click.size, int(np.count_nonzero(sift)), int(np.count_nonzero(sift & wrong))
+    lit, photons = _photons(rng, size, mu, cdf)
+    signal = _signal(rng, size, lit, photons, eta)
+    dark = _dark(rng, size, y0)
+    return _sift(rng, signal, dark, e_det)
 
 
 def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> SessionStats:
@@ -88,6 +174,7 @@ def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> S
     n_pulses, seed = int(n_pulses), int(seed)
     eta = transmittance(p)
     y0 = background_yield(p)
+    cdf = _photon_cdf(mu)
 
     n_blocks = (n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
     n_workers = min(_usable_cpus(), _MAX_THREADS, n_blocks)
@@ -108,7 +195,7 @@ def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> S
                         return
                     rng = _block_rng(seed, b)
                 size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
-                block_counts[b] = _block_counts(rng, size, mu, eta, y0, p.e_det)
+                block_counts[b] = _block_counts(rng, size, mu, cdf, eta, y0, p.e_det)
                 del rng
         except BaseException as exc:
             failures.append(exc)

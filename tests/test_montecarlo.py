@@ -2,6 +2,7 @@ import sys
 import threading
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -38,6 +39,13 @@ class TestSimulateSession:
         s = simulate_session(p, 0.0, 10_000, 0)
         assert s.detections == 0
         assert s.e_hat is None
+
+    def test_vacuum_with_dark_counts(self):
+        # no photons: every click is a dark count, wrong half the time
+        p = ChannelParams(dark_rate_hz=3e7, e_det=0.0)
+        s = simulate_session(p, 0.0, 10**6, 12)
+        assert s.q_hat == pytest.approx(background_yield(p), abs=4 * s.q_se)
+        assert s.e_hat == pytest.approx(0.5, abs=4 * s.e_se)
 
     def test_zero_pulses_rejected(self, flume_params):
         with pytest.raises(ValueError):
@@ -98,9 +106,43 @@ class TestEstimate:
 
 
 def serial_counts(p, mu, n_pulses, seed):
-    """(detections, sifted, errors) from the one-thread per-block loop the threaded
-    simulate_session replaced, in its draw order, kept as its oracle: survivors only
-    for pulses with photons, bases and outcome flips only for pulses that click."""
+    """(detections, sifted, errors) from a one-thread per-block loop in simulate_session's
+    draw order, kept as its oracle: a photon number for every pulse by inversion of one
+    uniform (rng.poisson above the inversion threshold), survivors only for pulses with
+    photons, a dark-count total and its positions, then bases and outcome flips for the
+    signal clicks and then the dark-only clicks."""
+    eta = transmittance(p)
+    y0 = background_yield(p)
+    cdf = montecarlo._photon_cdf(mu)
+    detections = sifted = errors = 0
+    n_blocks = (n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
+    for b in range(n_blocks):
+        size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        if cdf is None:
+            n_phot = rng.poisson(mu, size)
+        else:
+            n_phot = np.searchsorted(cdf, rng.random(size), side="right")
+        lit = n_phot > 0
+        signal = np.zeros(size, dtype=bool)
+        signal[lit] = rng.binomial(n_phot[lit], eta) > 0
+        dark = np.zeros(size, dtype=bool)
+        dark[rng.choice(size, rng.binomial(size, y0), replace=False, shuffle=False)] = True
+        n_signal, n_dark_only = int(signal.sum()), int((dark & ~signal).sum())
+        k = n_signal + n_dark_only
+        basis_match = rng.integers(0, 2, k) == rng.integers(0, 2, k)
+        flip = rng.random(k)
+        wrong = np.concatenate([flip[:n_signal] < p.e_det, flip[n_signal:] < 0.5])
+        detections += k
+        sifted += int(basis_match.sum())
+        errors += int((basis_match & wrong).sum())
+    return detections, sifted, errors
+
+
+def poisson_order_counts(p, mu, n_pulses, seed):
+    """(detections, sifted, errors) in the earlier draw order: rng.poisson photon numbers,
+    survivors for pulses with photons, a dark-count uniform for every pulse, then bases
+    and an outcome flip for each click in pulse order."""
     eta = transmittance(p)
     y0 = background_yield(p)
     detections = sifted = errors = 0
@@ -125,9 +167,8 @@ def serial_counts(p, mu, n_pulses, seed):
 
 
 def every_pulse_counts(p, mu, n_pulses, seed):
-    """(detections, sifted, errors) in the earlier per-pulse draw order: survivors,
-    bases and an outcome flip for every pulse.  Its gain draws are the same as
-    serial_counts', because a binomial of zero photons draws nothing."""
+    """(detections, sifted, errors) in the per-pulse draw order before that: survivors,
+    bases and an outcome flip for every pulse."""
     eta = transmittance(p)
     y0 = background_yield(p)
     detections = sifted = errors = 0
@@ -159,6 +200,8 @@ ORACLE_CHANNELS = {
     "vacuum": (ChannelParams(), 0.0),
     "lossless": (ChannelParams(alpha_db_per_m=0.0, eta_detector=1, eta_bob=1, e_det=0.02), 0.8),
     "dark_dominated": (ChannelParams(length_m=20.0, dark_rate_hz=9.5e8), 0.3),
+    # above the inversion threshold, so the photon numbers come from rng.poisson
+    "bright": (ChannelParams(e_det=0.01).at_length(60.0), 2 * montecarlo._INVERSION_MU_MAX),
 }
 
 
@@ -176,8 +219,6 @@ class TestThreadedBlocks:
         s = simulate_session(p, mu, n_pulses, 2024)
         assert counts(s) == serial_counts(p, mu, n_pulses, 2024)
         assert s.pulses_sent == n_pulses
-        # the gain's draws come first and are the same in both orders
-        assert s.detections == every_pulse_counts(p, mu, n_pulses, 2024)[0]
 
     def test_usable_cpus(self, monkeypatch):
         _set_cpus(monkeypatch, 3)
@@ -278,27 +319,150 @@ class TestThreadedBlocks:
 
 DISTRIBUTION_CHANNELS = {
     # ~5 % of pulses click, nearly all on signal
-    "signal_dominated": ChannelParams(e_det=0.01).at_length(0.5),
+    "signal_dominated": (ChannelParams(e_det=0.01).at_length(0.5), 0.5),
     # ~0.4 % of pulses click, about three in four on a dark count alone
-    "dark_dominated": ChannelParams(e_det=0.01, dark_rate_hz=3e6).at_length(30.0),
+    "dark_dominated": (ChannelParams(e_det=0.01, dark_rate_hz=3e6).at_length(30.0), 0.5),
+    # two of ORACLE_CHANNELS, whose gain is compared with the earlier orders only here; the
+    # vacuum one clicks on ~2 of these pulses, so test_vacuum_with_dark_counts checks its gain
+    "oracle_lossless": ORACLE_CHANNELS["lossless"],
+    "oracle_dark_dominated": ORACLE_CHANNELS["dark_dominated"],
 }
 
 
 @pytest.mark.parametrize("channel", sorted(DISTRIBUTION_CHANNELS))
 def test_draw_orders_agree_in_distribution(channel):
-    """Pooled over 200 seeds, the clicked-only and every-pulse draw orders give the
-    same sifted fraction and QBER within 4 combined standard errors."""
-    p = DISTRIBUTION_CHANNELS[channel]
-    pooled = {"clicked": np.zeros(3, dtype=np.int64), "every": np.zeros(3, dtype=np.int64)}
+    """Pooled over 200 seeds, simulate_session and the two earlier draw orders give the
+    same gain, sifted fraction and QBER within 4 combined standard errors."""
+    p, mu = DISTRIBUTION_CHANNELS[channel]
+    n = BLOCK_SIZE // 2
+    orders = {"session": lambda seed: counts(simulate_session(p, mu, n, seed)),
+              "poisson": lambda seed: poisson_order_counts(p, mu, n, seed),
+              "every": lambda seed: every_pulse_counts(p, mu, n, seed)}
+    pooled = {k: np.array([200 * n, 0, 0, 0], dtype=np.int64) for k in orders}
     for seed in range(200):
-        pooled["clicked"] += counts(simulate_session(p, 0.5, BLOCK_SIZE // 2, seed))
-        pooled["every"] += every_pulse_counts(p, 0.5, BLOCK_SIZE // 2, seed)
-    assert pooled["clicked"][0] == pooled["every"][0]
-    for num, den in ((1, 0), (2, 1)):  # sifted / detections, then errors / sifted
-        (a, n_a), (b, n_b) = ((pooled[k][num], pooled[k][den]) for k in ("clicked", "every"))
-        f_a, f_b = a / n_a, b / n_b
-        se = np.sqrt(f_a * (1 - f_a) / n_a + f_b * (1 - f_b) / n_b)
-        assert abs(f_a - f_b) <= 4 * se, (channel, num, f_a, f_b, se)
+        for k, draw in orders.items():
+            pooled[k][1:] += draw(seed)
+    for other in ("poisson", "every"):
+        # detections / pulses, sifted / detections, then errors / sifted
+        for num, den in ((1, 0), (2, 1), (3, 2)):
+            (a, n_a), (b, n_b) = ((pooled[k][num], pooled[k][den]) for k in ("session", other))
+            f_a, f_b = a / n_a, b / n_b
+            se = np.sqrt(f_a * (1 - f_a) / n_a + f_b * (1 - f_b) / n_b)
+            assert abs(f_a - f_b) <= 4 * se, (channel, other, num, f_a, f_b, se)
+
+
+def poisson_cdf(mu, k_max):
+    """Exact P(N <= k) of Poisson(mu) for k = 0 .. k_max, at 50 digits."""
+    with mpmath.workdps(50):
+        m = mpmath.mpf(mu)
+        terms = [mpmath.exp(-m) * m**k / mpmath.factorial(k) for k in range(k_max + 1)]
+        return [mpmath.fsum(terms[: k + 1]) for k in range(k_max + 1)]
+
+
+class TestPhotonTable:
+    @pytest.mark.parametrize("mu", [1e-300, 1e-9, 1e-3, 0.1, 0.5, 1.0, 3.7, 10.0, 20.0, 49.9, 50.0])
+    def test_matches_exact_poisson(self, mu):
+        cdf = montecarlo._photon_cdf(mu)
+        exact = poisson_cdf(mu, cdf.size)
+        with mpmath.workdps(50):
+            err = max(abs(mpmath.mpf(float(c)) - e) for c, e in zip(cdf, exact))
+            tail = [1 - e for e in exact]  # tail[k] = P(N > k)
+        assert err <= 1e-15, (mu, float(err))
+        # K = cdf.size is the first photon number whose tail is below 2**-53 (or 1)
+        assert tail[cdf.size] < 2.0**-53
+        assert cdf.size == 1 or tail[cdf.size - 1] >= 2.0**-53
+        assert np.all(np.diff(cdf) >= 0)
+        assert cdf.size == 1 or cdf[-1] <= 1 - 2.0**-53  # the largest uniform reaches K
+
+    def test_vacuum_and_threshold(self):
+        assert montecarlo._photon_cdf(0.0).tolist() == [1.0]
+        assert montecarlo._photon_cdf(montecarlo._INVERSION_MU_MAX) is not None
+        assert montecarlo._photon_cdf(np.nextafter(montecarlo._INVERSION_MU_MAX, np.inf)) is None
+        lit, photons = montecarlo._photons(np.random.default_rng(0), BLOCK_SIZE, 0.0,
+                                           montecarlo._photon_cdf(0.0))
+        assert lit.size == photons.size == 0
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.5, montecarlo._INVERSION_MU_MAX,
+                                    np.nextafter(montecarlo._INVERSION_MU_MAX, np.inf)])
+    def test_pooled_histogram(self, mu):
+        """Photon numbers pooled over 64 blocks fit Poisson(mu): bins with fewer than 20
+        expected counts are merged, and the chi-square statistic stays below its mean plus
+        6 standard deviations (the normal approximation's one-sided 1e-9 point)."""
+        cdf = montecarlo._photon_cdf(mu)
+        hist = np.zeros(1, dtype=np.int64)
+        for b in range(64):
+            rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(b,)))
+            lit, photons = montecarlo._photons(rng, BLOCK_SIZE, mu, cdf)
+            assert np.all(photons >= 1) and np.all(np.diff(lit) > 0)
+            h = np.bincount(photons, minlength=hist.size)
+            h[0] = BLOCK_SIZE - lit.size
+            hist = np.pad(hist, (0, h.size - hist.size)) + h
+        n = 64 * BLOCK_SIZE
+        exact = [float(c) for c in poisson_cdf(mu, hist.size)]
+        pmf = np.diff([0.0, *exact[:-1]])
+        pmf[-1] += 1.0 - exact[-2]  # the last observed bin takes the tail
+        chi2, df, obs, exp = 0.0, -1, 0, 0.0
+        for k in range(hist.size):
+            obs, exp = obs + int(hist[k]), exp + n * pmf[k]
+            if exp >= 20 and n * (1 - exact[k]) >= 20:
+                chi2, df, obs, exp = chi2 + (obs - exp) ** 2 / exp, df + 1, 0, 0.0
+        if exp > 0:
+            chi2, df = chi2 + (obs - exp) ** 2 / exp, df + 1
+        assert df >= 1
+        assert chi2 <= df + 6 * np.sqrt(2 * df), (mu, chi2, df)
+        mean = hist @ np.arange(hist.size) / n
+        assert abs(mean - mu) <= 6 * np.sqrt(mu / n)
+
+
+class TestDarkCounts:
+    @pytest.mark.parametrize("size", [1, 7, BLOCK_SIZE])
+    @pytest.mark.parametrize("y0", [0.0, 3e-7, 0.5, 1.0])
+    def test_positions_distinct_and_in_range(self, y0, size):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            dark = montecarlo._dark(rng, size, y0)
+            assert np.unique(dark).size == dark.size
+            assert np.all((0 <= dark) & (dark < size))
+            if y0 == 0.0:
+                assert dark.size == 0
+            if y0 == 1.0:
+                assert dark.size == size
+
+    @pytest.mark.parametrize("y0,blocks", [(3e-7, 3000), (0.5, 20)])
+    def test_indicators_are_bernoulli(self, y0, blocks):
+        """Pooled over blocks, each of 8 position bins holds y0 of its pulses within 4 SE,
+        and so does the total."""
+        rng = np.random.default_rng(8)
+        hits = np.zeros(8, dtype=np.int64)
+        for _ in range(blocks):
+            hits += np.bincount(montecarlo._dark(rng, BLOCK_SIZE, y0) * 8 // BLOCK_SIZE,
+                                minlength=8)
+        for k, n in ((hits, blocks * BLOCK_SIZE // 8), (hits.sum(), blocks * BLOCK_SIZE)):
+            se = np.sqrt(n * y0 * (1 - y0))
+            assert np.all(np.abs(k - n * y0) <= 4 * se), (y0, k, n * y0, se)
+
+    def test_every_pulse_clicks_at_unit_yield(self):
+        p = ChannelParams(dark_rate_hz=1e9, e_det=0.0)
+        assert background_yield(p) == 1.0
+        for mu in (0.0, 0.5, 2 * montecarlo._INVERSION_MU_MAX):
+            s = simulate_session(p, mu, BLOCK_SIZE + 1, 3)
+            assert s.detections == s.pulses_sent == BLOCK_SIZE + 1
+            assert counts(s) == serial_counts(p, mu, BLOCK_SIZE + 1, 3)
+
+
+class TestOnePulseBlock:
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 2 * montecarlo._INVERSION_MU_MAX])
+    @pytest.mark.parametrize("dark_rate_hz", [0.0, 3e6, 1e9])
+    def test_last_block_of_one_pulse(self, mu, dark_rate_hz):
+        p = ChannelParams(dark_rate_hz=dark_rate_hz, e_det=0.01).at_length(5.0)
+        for seed in range(20):
+            s = simulate_session(p, mu, BLOCK_SIZE + 1, seed)
+            assert counts(s) == serial_counts(p, mu, BLOCK_SIZE + 1, seed)
+            rng = np.random.default_rng(seed)
+            last = montecarlo._block_counts(rng, 1, mu, montecarlo._photon_cdf(mu),
+                                            transmittance(p), background_yield(p), p.e_det)
+            assert 0 <= last[2] <= last[1] <= last[0] <= 1
+            assert last[0] == 1 or background_yield(p) < 1.0
 
 
 class TestInputValidation:
