@@ -1,33 +1,34 @@
 """Pulse-level BB84 session simulator.
 
-Stochastic oracle for the analytic gain/QBER model: Poisson photon number,
-per-photon binomial survival (so the analytic counterpart is exactly
-Y_n = Y0 + 1 - (1-eta)^n), dark counts OR-ed into the detection window, and
-uniform basis choice on both sides.  Double clicks (signal + dark) resolve
-to the signal outcome; dark-only clicks carry a uniformly random outcome.
+Stochastic oracle for the analytic gain/QBER model: Poisson photon number, a
+signal click with the chance 1 - (1-eta)^n that at least one of n photons
+survives (so the analytic counterpart is exactly Y_n = Y0 + 1 - (1-eta)^n),
+dark counts OR-ed into the detection window, and uniform basis choice on both
+sides.  Double clicks (signal + dark) resolve to the signal outcome; dark-only
+clicks carry a uniformly random outcome.
 
 Each block draws one uniform per pulse and turns it into a photon number by
 inversion against a Poisson CDF table built once per session.  The table stops
 at the first photon number K whose tail P(N > K) is below 2**-53, the spacing
 of the uniforms, and that tail is folded into K.  Above mu = 50
 (``_INVERSION_MU_MAX``; numpy's Poisson sampler is the faster one from about
-mu = 60 on) the photon numbers come from ``rng.poisson`` instead.  Survivors
-are drawn by a binomial for the pulses with photons only, and dark counts
-sparsely: their number from Binomial(block size, Y0), then that many distinct
-positions.  Bases and outcomes are drawn only for the pulses that click; no
-other pulse's draws could reach a count.
+mu = 60 on) the photon numbers come from ``rng.poisson`` instead.  Signal
+clicks are drawn for the pulses with photons only, one uniform each against
+1 - (1-eta)^n, and dark counts sparsely: their number from
+Binomial(block size, Y0), then that many distinct positions.  Bases and
+outcomes are drawn only for the pulses that click; no other pulse's draws
+could reach a count.
 
-Pulses are simulated in blocks of 2**16, each block drawing from its own
-stream derived from the master seed.  The blocks run on
-min(usable CPUs, 4, number of blocks) threads, the calling thread included;
-numpy releases the interpreter lock inside its array calls (the draws, the
-table search and the nonzero scans) but not between them, and on the
-flume's channels the calls after the survivor draw see a few thousand values
-or fewer, so their cost is mostly call overhead under the lock.  Each thread
-takes the next block and makes its generator under one lock, so each thread
-holds one generator at a time.  Each block's counts are integers and
-are summed exactly, so results are reproducible and independent of the
-number of threads.
+Pulses are simulated in blocks of 2**16, each block drawing from its own stream
+derived from the master seed.  The blocks run on min(usable CPUs, 4, number of
+blocks) threads, the calling thread included; numpy releases the interpreter
+lock inside its array calls (the draws, the table search, the click chances'
+``expm1`` and the nonzero scans) but not between them, and on the flume's
+channels the calls after the signal draw see a few thousand values or fewer, so
+their cost is mostly call overhead under the lock.  Each thread takes the next
+block and makes its generator under one lock, so each thread holds one
+generator at a time.  Each block's counts are integers and are summed exactly,
+so results are reproducible and independent of the number of threads.
 """
 
 from __future__ import annotations
@@ -124,9 +125,10 @@ def _dark(rng: np.random.Generator, size: int, y0: float) -> np.ndarray:
 
 def _signal(rng: np.random.Generator, size: int, lit: np.ndarray, photons: np.ndarray,
             eta: float) -> np.ndarray:
-    """Signal-click row of one block: a binomial of survivors for the lit pulses only."""
+    """Signal-click row of one block: a uniform per lit pulse below 1 - (1 - eta)**n."""
+    log_miss = math.log1p(-eta) if eta < 1 else -math.inf  # log1p(-1) raises
     signal = np.zeros(size, dtype=bool)
-    signal[lit] = rng.binomial(photons, eta) > 0
+    signal[lit] = rng.random(lit.size) < -np.expm1(photons * log_miss)
     return signal
 
 
@@ -152,8 +154,8 @@ def _block_counts(rng: np.random.Generator, size: int, mu: float, cdf: np.ndarra
 
     Draw order: photon numbers (``_photons``: one uniform per pulse inverted
     against ``cdf``, cut off where the tail falls below 2**-53, or ``rng.poisson``
-    where mu > ``_INVERSION_MU_MAX`` and ``cdf`` is None), survivors for the pulses
-    with photons only (``_signal``), dark-count positions (``_dark``), then bases
+    where mu > ``_INVERSION_MU_MAX`` and ``cdf`` is None), one click uniform per pulse
+    with photons, in pulse order (``_signal``), dark-count positions (``_dark``), then bases
     and outcome flips for the clicks only (``_sift``): the signal clicks first,
     then the dark-only clicks.
     """

@@ -108,9 +108,23 @@ class TestEstimate:
 def serial_counts(p, mu, n_pulses, seed):
     """(detections, sifted, errors) from a one-thread per-block loop in simulate_session's
     draw order, kept as its oracle: a photon number for every pulse by inversion of one
-    uniform (rng.poisson above the inversion threshold), survivors only for pulses with
-    photons, a dark-count total and its positions, then bases and outcome flips for the
-    signal clicks and then the dark-only clicks."""
+    uniform (rng.poisson above the inversion threshold), one uniform per pulse with photons
+    against its click chance 1 - (1 - eta)**n, a dark-count total and its positions, then
+    bases and outcome flips for the signal clicks and then the dark-only clicks."""
+    return _inversion_order_counts(p, mu, n_pulses, seed,
+                                   lambda rng, n, eta: rng.random(n.size) < 1 - (1 - eta) ** n)
+
+
+def binomial_order_counts(p, mu, n_pulses, seed):
+    """(detections, sifted, errors) in the previous draw order: as serial_counts, but with
+    a binomial of survivors for the pulses with photons in place of the click uniforms."""
+    return _inversion_order_counts(p, mu, n_pulses, seed,
+                                   lambda rng, n, eta: rng.binomial(n, eta) > 0)
+
+
+def _inversion_order_counts(p, mu, n_pulses, seed, signal_clicks):
+    """The per-block loop of serial_counts, with ``signal_clicks(rng, n, eta)`` drawing
+    the signal-click row of the pulses with photons from their photon numbers n."""
     eta = transmittance(p)
     y0 = background_yield(p)
     cdf = montecarlo._photon_cdf(mu)
@@ -125,7 +139,7 @@ def serial_counts(p, mu, n_pulses, seed):
             n_phot = np.searchsorted(cdf, rng.random(size), side="right")
         lit = n_phot > 0
         signal = np.zeros(size, dtype=bool)
-        signal[lit] = rng.binomial(n_phot[lit], eta) > 0
+        signal[lit] = signal_clicks(rng, n_phot[lit], eta)
         dark = np.zeros(size, dtype=bool)
         dark[rng.choice(size, rng.binomial(size, y0), replace=False, shuffle=False)] = True
         n_signal, n_dark_only = int(signal.sum()), int((dark & ~signal).sum())
@@ -140,7 +154,7 @@ def serial_counts(p, mu, n_pulses, seed):
 
 
 def poisson_order_counts(p, mu, n_pulses, seed):
-    """(detections, sifted, errors) in the earlier draw order: rng.poisson photon numbers,
+    """(detections, sifted, errors) in the draw order before that: rng.poisson photon numbers,
     survivors for pulses with photons, a dark-count uniform for every pulse, then bases
     and an outcome flip for each click in pulse order."""
     eta = transmittance(p)
@@ -331,18 +345,19 @@ DISTRIBUTION_CHANNELS = {
 
 @pytest.mark.parametrize("channel", sorted(DISTRIBUTION_CHANNELS))
 def test_draw_orders_agree_in_distribution(channel):
-    """Pooled over 200 seeds, simulate_session and the two earlier draw orders give the
+    """Pooled over 200 seeds, simulate_session and the three earlier draw orders give the
     same gain, sifted fraction and QBER within 4 combined standard errors."""
     p, mu = DISTRIBUTION_CHANNELS[channel]
     n = BLOCK_SIZE // 2
     orders = {"session": lambda seed: counts(simulate_session(p, mu, n, seed)),
+              "binomial": lambda seed: binomial_order_counts(p, mu, n, seed),
               "poisson": lambda seed: poisson_order_counts(p, mu, n, seed),
               "every": lambda seed: every_pulse_counts(p, mu, n, seed)}
     pooled = {k: np.array([200 * n, 0, 0, 0], dtype=np.int64) for k in orders}
     for seed in range(200):
         for k, draw in orders.items():
             pooled[k][1:] += draw(seed)
-    for other in ("poisson", "every"):
+    for other in ("binomial", "poisson", "every"):
         # detections / pulses, sifted / detections, then errors / sifted
         for num, den in ((1, 0), (2, 1), (3, 2)):
             (a, n_a), (b, n_b) = ((pooled[k][num], pooled[k][den]) for k in ("session", other))
@@ -448,6 +463,69 @@ class TestDarkCounts:
             s = simulate_session(p, mu, BLOCK_SIZE + 1, 3)
             assert s.detections == s.pulses_sent == BLOCK_SIZE + 1
             assert counts(s) == serial_counts(p, mu, BLOCK_SIZE + 1, 3)
+
+
+def click_chance(n, eta):
+    """1 - (1 - eta)**n at 50 digits: the chance that at least one of n photons survives."""
+    with mpmath.workdps(50):
+        return 1 - (1 - mpmath.mpf(eta)) ** n
+
+
+class FixedUniforms:
+    """A generator stand-in whose every uniform is ``v``."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def random(self, size):
+        return np.full(size, self.v)
+
+
+SIGNAL_PHOTONS = [1, 2, 7, 150]
+SIGNAL_ETAS = [0.0, 1e-12, 0.0076, 0.1056, 0.9, 1.0]
+
+
+class TestSignalClicks:
+    @pytest.mark.parametrize("eta", SIGNAL_ETAS)
+    @pytest.mark.parametrize("n", SIGNAL_PHOTONS)
+    def test_click_fraction(self, n, eta):
+        """Pooled over 16 blocks of n-photon pulses, the click fraction is within 4 SE
+        of 1 - (1 - eta)**n (exactly 0 or 1 where that is its value)."""
+        rng = np.random.default_rng([n, SIGNAL_ETAS.index(eta)])
+        lit = np.arange(BLOCK_SIZE)
+        photons = np.full(BLOCK_SIZE, n)
+        clicks = sum(int(np.count_nonzero(montecarlo._signal(rng, BLOCK_SIZE, lit, photons, eta)))
+                     for _ in range(16))
+        total = 16 * BLOCK_SIZE
+        chance = float(click_chance(n, eta))
+        assert abs(clicks / total - chance) <= 4 * np.sqrt(chance * (1 - chance) / total), (
+            n, eta, clicks, chance)
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_no_or_every_lit_pulse_clicks(self, eta):
+        rng = np.random.default_rng(4)
+        lit = np.arange(0, BLOCK_SIZE, 3)
+        photons = rng.integers(1, 200, lit.size)
+        with np.errstate(all="raise"):
+            signal = montecarlo._signal(rng, BLOCK_SIZE, lit, photons, eta)
+        expected = np.zeros(BLOCK_SIZE, dtype=bool)
+        expected[lit] = eta == 1.0
+        assert np.array_equal(signal, expected)
+
+    @pytest.mark.parametrize("eta", SIGNAL_ETAS)
+    @pytest.mark.parametrize("n", SIGNAL_PHOTONS)
+    def test_threshold_within_1e15_of_exact(self, n, eta):
+        """A uniform 1e-15 (relative) below the exact chance clicks and one 1e-15 above
+        it does not, so the row's threshold -expm1(n log1p(-eta)) is that close to it."""
+        chance = click_chance(n, eta)
+        with mpmath.workdps(50):
+            below, above = (float(chance * (1 + d)) for d in (-mpmath.mpf("1e-15"), mpmath.mpf("1e-15")))
+        lit, photons = np.array([0]), np.array([n])
+        with np.errstate(all="raise"):
+            clicked_below = montecarlo._signal(FixedUniforms(below), 1, lit, photons, eta)[0]
+            clicked_above = montecarlo._signal(FixedUniforms(above), 1, lit, photons, eta)[0]
+        assert clicked_below or chance == 0
+        assert not clicked_above or chance == 1
 
 
 class TestOnePulseBlock:

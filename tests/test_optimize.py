@@ -260,14 +260,14 @@ searches = st.builds(
 )
 
 
-def assert_not_below(res, ref, f_ec):
-    """K at most 1e-12 (relative) below the reference's, or by less than the
+def assert_not_below(res, ref, f_ec, rel=1e-12):
+    """K at most ``rel`` (relative) below the reference's, or by less than the
     rounding of K: a difference of terms of order Q1 and f_ec Q_mu, each known
     to about 1e-16 (near a cutoff, or with e1 near 1/2, that is far more than
     1e-12 of K)."""
     c = ref.components
     rounding = 1e-15 * (c["q1_lower"] + f_ec * c["q_mu"])
-    assert res.k_per_pulse >= ref.k_per_pulse * (1 - 1e-12) - rounding, (res, ref)
+    assert res.k_per_pulse >= ref.k_per_pulse * (1 - rel) - rounding, (res, ref)
 
 
 class TestVertex:
@@ -321,6 +321,26 @@ class TestSearchOverMuAlone:
             if cfg.refine_iterations >= 3:
                 assert_not_below(res, zoom, p.f_ec)
             assert cfg.nu_min == res.nu < res.mu <= cfg.mu_max
+
+    # at mu_max <= 1 (a coarse step of about 1.2 in log mu) K fell at most 4e-12 below the
+    # zoom's over 11 000 random channels; at mu_max = 2 (a step of 1.3) 0.6 % of 33 000 fell
+    # more than 1e-10 below it, the worst 9.9e-9 (the example below is one at 9.8e-9)
+    @pytest.mark.parametrize("mu_max,rel", [(0.5, 1e-10), (1.0, 1e-10), (2.0, 3e-8)])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(channels, st.none() | st.just(0.0) | st.floats(0, 0.1)), min_size=1, max_size=12),
+        st.sampled_from([1e-4, 1e-3]),
+    )
+    @example([(ChannelParams(alpha_db_per_m=1.0201029232120968, length_m=0.0,
+                             eta_detector=0.30594870151602355, eta_bob=0.33615645967922314,
+                             e_det=0.09122093174704661, f_ec=1.2307647347164123), None)], 1e-4)
+    def test_not_below_zoom_at_coarse_grid_8(self, mu_max, rel, specs, nu_min):
+        cfg = OptimizerConfig(mu_max=mu_max, nu_min=nu_min, coarse_grid=8)
+        specs = [(p, q) for p, q in specs if in_range(p, cfg.mu_max)]
+        assume(specs)
+        ps, qs = [p for p, _ in specs], [q for _, q in specs]
+        for p, res, zoom in zip(ps, optimize_mu_nu(ps, cfg, qs), zoom_search(ps, cfg, qs)):
+            assert_not_below(res, zoom, p.f_ec, rel)
 
     @settings(max_examples=300, deadline=None)
     @given(channels, st.none() | st.floats(0, 0.1), st.integers(0, 63), searches)

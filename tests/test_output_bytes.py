@@ -12,7 +12,10 @@ within 1e-14 of the polar sampling's, with the same ``valid`` mask and the same
 PGMs.  The sweep, keyrate (optimized) and optimize hashes were re-recorded when
 the optimizer's zoom rounds gave way to interpolation, after each moved K was
 checked to be at least the best K of a 200 001-point mu row, and each mu to
-lie within half a step of that row's best; every cutoff stayed the same.
+lie within half a step of that row's best; every cutoff stayed the same.  The
+Monte Carlo hash was last re-recorded when a signal click became one uniform
+per pulse with photons against 1 - (1 - eta)^n, after the pinned session was
+checked to pass ``--check``.
 
 The writers under test: ``write_pgm`` writes the P5 header and the scaled
 pixels as big-endian ``u2``; the Stokes CSV formats each distinct bit pattern
