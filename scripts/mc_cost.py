@@ -5,7 +5,7 @@ Times, in one process, on the default flume channel at each ``--lengths`` and
 at ``--mu``:
 
 - the stages of one 2**16-pulse block, in the order ``montecarlo._block_counts``
-  draws them: photon numbers (``_photons``), survivors (``_signal``), dark
+  draws them: photon numbers (``_photons``), signal clicks (``_signal``), dark
   counts (``_dark``) and sift/outcome (``_sift``), then the whole block
   (``_block_counts``), each over ``--blocks`` blocks of their own seeded streams;
 - ``simulate_session`` at ``--n-pulses`` pulses (default 10**7), ``--repeats``
@@ -31,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from uwqkd import montecarlo  # noqa: E402
 from uwqkd.channel import ChannelParams, background_yield, transmittance  # noqa: E402
 
-STAGES = ("photon numbers", "survivors", "dark counts", "sift/outcome", "whole block")
+STAGES = ("photon numbers", "signal clicks", "dark counts", "sift/outcome", "whole block")
 
 
 def block_stages(seed: int, block: int, mu: float, cdf, eta: float, y0: float, e_det: float) -> list[float]:

@@ -29,7 +29,6 @@ from .tomography import (
     AberrationSpec,
     GridSpec,
     StokesField,
-    apply_aberration,
     make_vector_mode,
     project_all,
     reconstruct_stokes,
@@ -211,7 +210,7 @@ def _cmd_tomography(args) -> int:
     else:
         spec = AberrationSpec(tip=args.tip, tilt=args.tilt, astig_oblique=args.astig_oblique,
                               astig_vertical=args.astig_vertical, defocus=args.defocus)
-    intensities = project_all(apply_aberration(make_vector_mode(args.kind, grid), spec))  # no field held
+    intensities = project_all(make_vector_mode(args.kind, grid))  # no field held, and no screen: it cancels
     stokes = reconstruct_stokes(intensities)
     prefix = Path(args.out) if args.out else Path(f"tomography_{args.kind}")
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -255,7 +254,7 @@ def build_parser() -> _Parser:
     add_common(sp)
     sp.add_argument("--length", type=float)
     sp.add_argument("--qber", type=float)
-    sp.add_argument("--max-distance", action="store_true", help="also bisect the secure cutoff")
+    sp.add_argument("--max-distance", action="store_true", help="also bisect the cutoff; it ignores --qber")
     sp.add_argument("--l-max", type=float, default=200.0)
     sp.set_defaults(func=_cmd_keyrate, mu=None, nu=None)
 

@@ -5,8 +5,8 @@ Jones vectors (H and V components).  Vector vortex modes are Laguerre-Gauss
 l = +/-1, p = 0 envelopes on the circular polarization components.
 Turbulence is a single receiver-plane phase screen built from low-order
 Zernike terms (tip, tilt, both astigmatisms, defocus); the screen is common
-to both polarization components, so it never changes the local
-polarization, only the phase.
+to both polarization components and cancels in every analyzer intensity, so
+``uwqkd tomography`` records its coefficients and never builds it.
 
 Jones vectors, analyzer bras and mode coefficients are read from
 :mod:`uwqkd.qstate`, so the Stokes signs follow its state algebra by

@@ -397,6 +397,15 @@ class TestOptimizeCmd:
         assert main(["optimize", "--max-distance", "--l-max", "0"]) == 1
         assert "error: l_max must be" in capsys.readouterr().err
 
+    def test_qber_does_not_enter_cutoff(self, capsys):
+        # --qber replaces E_mu in K at --length only; the cutoff is the modelled channel's
+        got = []
+        for extra in ([], ["--qber", "0.03"], ["--qber", "0.2"]):
+            assert main(["optimize", "--length", "10", "--max-distance", *extra]) == 0
+            got.append(json.loads(capsys.readouterr().out))
+        assert [g["max_secure_distance_m"] for g in got] == [78.466796875] * 3
+        assert got[0]["k_per_pulse"] > got[1]["k_per_pulse"] > got[2]["k_per_pulse"] > 0
+
 
 # every subcommand with the callee its handler hands the work to
 HANDLER_CALLEES = {

@@ -262,6 +262,13 @@ class TestAberration:
         assert np.allclose(s0.s2, s1.s2, atol=1e-12)
         assert np.allclose(s0.s3, s1.s3, atol=1e-12)
 
+    def test_non_finite_screen_rejected(self):
+        # every coefficient is finite, but tip * 2 overflows to inf in the screen
+        with pytest.raises(ValueError, match="non-finite phase screen") as exc:
+            apply_aberration(make_vector_mode("radial", GRID), AberrationSpec(tip=1e308))
+        assert all(f"'{term}': " in str(exc.value) for term in TERMS)
+        assert "'tip': 1e+308" in str(exc.value)
+
     def test_astigmatism_degrades_overlap_monotonically(self):
         base = make_vector_mode("radial", GRID)
         overlaps = []
