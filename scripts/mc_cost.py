@@ -7,7 +7,8 @@ at ``--mu``:
 - the stages of one 2**16-pulse block, in the order ``montecarlo._block_counts``
   draws them: photon numbers (``_photons``), signal clicks (``_signal``), dark
   counts (``_dark``) and sift/outcome (``_sift``), then the whole block
-  (``_block_counts``), each over ``--blocks`` blocks of their own seeded streams;
+  (``_block_counts``), each over ``--blocks`` blocks of their own seeded streams,
+  all drawn in one reused buffer as each of ``simulate_session``'s workers does;
 - ``simulate_session`` at ``--n-pulses`` pulses (default 10**7), ``--repeats``
   times.
 
@@ -26,6 +27,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from uwqkd import montecarlo  # noqa: E402
@@ -34,23 +37,23 @@ from uwqkd.channel import ChannelParams, background_yield, transmittance  # noqa
 STAGES = ("photon numbers", "signal clicks", "dark counts", "sift/outcome", "whole block")
 
 
-def block_stages(seed: int, block: int, mu: float, cdf, eta: float, y0: float, e_det: float) -> list[float]:
-    """Seconds spent in each of ``STAGES`` on one full block; the whole block is
-    ``_block_counts`` on a second generator of the same stream."""
+def block_stages(seed: int, block: int, u: np.ndarray, mu: float, table, eta: float, y0: float,
+                 e_det: float) -> list[float]:
+    """Seconds spent in each of ``STAGES`` on one full block drawn in the buffer ``u``; the
+    whole block is ``_block_counts`` on a second generator of the same stream."""
     rng = montecarlo._block_rng(seed, block)
-    size = montecarlo.BLOCK_SIZE
     t0 = time.perf_counter()
-    lit, photons = montecarlo._photons(rng, size, mu, cdf)
+    lit, photons = montecarlo._photons(rng, u, mu, table)
     t1 = time.perf_counter()
-    signal = montecarlo._signal(rng, size, lit, photons, eta)
+    signal = montecarlo._signal(rng, u, lit, photons, eta)
     t2 = time.perf_counter()
-    dark = montecarlo._dark(rng, size, y0)
+    dark = montecarlo._dark(rng, u.size, y0)
     t3 = time.perf_counter()
     montecarlo._sift(rng, signal, dark, e_det)
     t4 = time.perf_counter()
     rng = montecarlo._block_rng(seed, block)
     t5 = time.perf_counter()
-    montecarlo._block_counts(rng, size, mu, cdf, eta, y0, e_det)
+    montecarlo._block_counts(rng, u, mu, table, eta, y0, e_det)
     t6 = time.perf_counter()
     return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t6 - t5]
 
@@ -73,11 +76,12 @@ def main(argv=None):
             ap.error(f"--{name.replace('_', '-')} must be >= 1")
 
     channels = {length: ChannelParams().at_length(length) for length in args.lengths}
-    cdf = montecarlo._photon_cdf(args.mu)
+    table = montecarlo._guide(montecarlo._photon_cdf(args.mu))
+    u = np.empty(montecarlo.BLOCK_SIZE)
     stages = {length: [[] for _ in STAGES] for length in channels}
     for b in range(args.blocks):
         for length, p in channels.items():
-            for out, s in zip(stages[length], block_stages(1, b, args.mu, cdf, transmittance(p),
+            for out, s in zip(stages[length], block_stages(1, b, u, args.mu, table, transmittance(p),
                                                              background_yield(p), p.e_det)):
                 out.append(s / montecarlo.BLOCK_SIZE * 1e9)
     sessions = {length: [] for length in channels}

@@ -8,27 +8,31 @@ sides.  Double clicks (signal + dark) resolve to the signal outcome; dark-only
 clicks carry a uniformly random outcome.
 
 Each block draws one uniform per pulse and turns it into a photon number by
-inversion against a Poisson CDF table built once per session.  The table stops
-at the first photon number K whose tail P(N > K) is below 2**-53, the spacing
-of the uniforms, and that tail is folded into K.  Above mu = 50
-(``_INVERSION_MU_MAX``; numpy's Poisson sampler is the faster one from about
-mu = 60 on) the photon numbers come from ``rng.poisson`` instead.  Signal
-clicks are drawn for the pulses with photons only, one uniform each against
-1 - (1-eta)^n, and dark counts sparsely: their number from
-Binomial(block size, Y0), then that many distinct positions.  Bases and
-outcomes are drawn only for the pulses that click; no other pulse's draws
-could reach a count.
+inversion against a Poisson CDF table built once per session, by indexed search
+(Chen & Asau 1974): a guide table over 2**12 equal cells of the uniforms answers
+all but the pulses whose cell also holds an entry at or below their uniform.
+The table stops at the first photon number K whose tail P(N > K) is below
+2**-53, the spacing of the uniforms, and that tail is folded into K.  Above
+mu = 50 (``_INVERSION_MU_MAX``) the photon numbers come from ``rng.poisson``
+instead.  Signal clicks are drawn for the pulses with photons only, one uniform
+each against 1 - (1-eta)^n, and kept as sorted pulse indices; dark counts are
+drawn sparsely: their number from Binomial(block size, Y0), then that many
+distinct positions.  Bases and outcomes are drawn only for the pulses that
+click; no other pulse's draws could reach a count.
 
 Pulses are simulated in blocks of 2**16, each block drawing from its own stream
 derived from the master seed.  The blocks run on min(usable CPUs, 4, number of
-blocks) threads, the calling thread included; numpy releases the interpreter
-lock inside its array calls (the draws, the table search, the click chances'
-``expm1`` and the nonzero scans) but not between them, and on the flume's
-channels the calls after the signal draw see a few thousand values or fewer, so
-their cost is mostly call overhead under the lock.  Each thread takes the next
-block and makes its generator under one lock, so each thread holds one
-generator at a time.  Each block's counts are integers and are summed exactly,
-so results are reproducible and independent of the number of threads.
+blocks) threads, the calling thread included, each drawing its blocks' uniforms
+into one buffer; past the uniform draw and the lit-pulse scan (and
+``rng.poisson``'s row), a block's arrays hold its lit pulses or fewer.  numpy
+releases the interpreter lock inside its array calls (the draws, the guide
+lookups, the click chances' ``expm1`` and the nonzero scans) but not between
+them, and on the flume's channels the calls after the signal draw see a few
+thousand values or fewer, so their cost is mostly call overhead under the lock.
+Each thread takes the next block and makes its generator under one lock, so
+each thread holds one generator at a time.  Each block's counts are integers
+and are summed exactly, so results are reproducible and independent of the
+number of threads.
 """
 
 from __future__ import annotations
@@ -46,11 +50,12 @@ BLOCK_SIZE = 2**16
 _MAX_THREADS = 4
 _BAND_SE = 4.0  # half-width of within_model_band's band, in standard errors
 _MU_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)  # numpy's Poisson limit
-# Largest mu whose photon numbers are drawn by inversion.  On a 2-core x86-64 host
-# (numpy 2.4) a 2**16-pulse row costs less by inversion than by rng.poisson up to
-# mu ~ 60 (20: 57 against 80 ns per pulse; 50: 64 against 67) and more above it
-# (100: 70 against 62), where the table holds ~130 entries and every pulse is lit.
+# Largest mu whose photon numbers are drawn by inversion, kept so that seeded sessions keep
+# their draws: on a 2-core x86-64 host (numpy 2.4) a 2**16-pulse row costs less by inversion
+# than by rng.poisson at each mu timed (20: 18-20 against 62-68 ns per pulse; 50: 17-19
+# against 50-54; 60: 17-19 against 49-52; 100: 18 against 46-48).
 _INVERSION_MU_MAX = 50.0
+_CELLS = 2**12  # cells of _photons' guide table; a power of two, so u * _CELLS is exact
 
 
 @dataclass(frozen=True)
@@ -97,21 +102,32 @@ def _photon_cdf(mu: float) -> np.ndarray | None:
     return np.where(below[:n] < 0.5, below[:n], 1.0 - above[:n])
 
 
-def _photons(rng: np.random.Generator, size: int, mu: float,
-             cdf: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """(indices of the pulses with photons, their photon numbers) of one block.
+def _guide(cdf: np.ndarray | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_photons``' table of ``cdf`` (None for None): guide[j], the number of entries
+    <= j / ``_CELLS``, and ``cdf`` with +inf appended."""
+    return None if cdf is None else (np.searchsorted(cdf, np.arange(_CELLS) / _CELLS, side="right"),
+                                     np.append(cdf, np.inf))
 
-    One uniform u per pulse: u < P(N = 0) = ``cdf[0]`` leaves the pulse empty, and
-    every other pulse's photon number is the count of table entries <= u.  Without
-    a table (mu above ``_INVERSION_MU_MAX``) the numbers come from ``rng.poisson``.
+
+def _photons(rng: np.random.Generator, u: np.ndarray, mu: float,
+             table: tuple[np.ndarray, np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
+    """(indices of the pulses with photons, their photon numbers) of a block of u.size.
+
+    A pulse's photon number is the count of CDF entries <= its uniform u, drawn into ``u``:
+    guide[floor(u * _CELLS)] counts those <= the start of u's cell, and only u with the next
+    entry <= u too are searched.  Without a table the numbers come from ``rng.poisson``.
     """
-    if cdf is None:
-        photons = rng.poisson(mu, size)
+    if table is None:
+        photons = rng.poisson(mu, u.size)
         lit = np.flatnonzero(photons)
         return lit, photons[lit]
-    u = rng.random(size)
-    lit = np.flatnonzero(u >= cdf[0])
-    return lit, np.searchsorted(cdf, u[lit], side="right")
+    guide, padded = table
+    lit = np.flatnonzero(rng.random(out=u) >= padded[0])
+    u_lit = u[lit]
+    photons = guide[(u_lit * _CELLS).astype(np.intp)]
+    search = np.flatnonzero(u_lit >= padded[photons])
+    photons[search] = np.searchsorted(padded, u_lit[search], side="right")
+    return lit, photons
 
 
 def _dark(rng: np.random.Generator, size: int, y0: float) -> np.ndarray:
@@ -123,45 +139,43 @@ def _dark(rng: np.random.Generator, size: int, y0: float) -> np.ndarray:
     return rng.choice(size, rng.binomial(size, y0), replace=False, shuffle=False)
 
 
-def _signal(rng: np.random.Generator, size: int, lit: np.ndarray, photons: np.ndarray,
+def _signal(rng: np.random.Generator, u: np.ndarray, lit: np.ndarray, photons: np.ndarray,
             eta: float) -> np.ndarray:
-    """Signal-click row of one block: a uniform per lit pulse below 1 - (1 - eta)**n."""
+    """Sorted signal-click indices of a block: a uniform per lit pulse, in ``u``, below 1 - (1 - eta)**n."""
     log_miss = math.log1p(-eta) if eta < 1 else -math.inf  # log1p(-1) raises
-    signal = np.zeros(size, dtype=bool)
-    signal[lit] = rng.random(lit.size) < -np.expm1(photons * log_miss)
-    return signal
+    return lit[rng.random(out=u[:lit.size]) < -np.expm1(photons * log_miss)]
 
 
 def _sift(rng: np.random.Generator, signal: np.ndarray, dark: np.ndarray,
           e_det: float) -> tuple[int, int, int]:
-    """(detections, sifted, errors) of a block's clicks, its signal clicks first.
+    """(detections, sifted, errors) of a block's clicks, the sorted signal clicks first.
 
     Alice's bases, Bob's bases and an outcome flip per click: a signal click is
     wrong with probability e_det, a dark-only click with probability 1/2.
     """
-    n_signal = int(np.count_nonzero(signal))
-    clicks = n_signal + dark.size - int(np.count_nonzero(signal[dark]))
+    double = np.searchsorted(signal, dark, side="right") - np.searchsorted(signal, dark)
+    clicks = signal.size + dark.size - int(np.count_nonzero(double))
     sift = rng.integers(0, 2, clicks) == rng.integers(0, 2, clicks)
     flip = rng.random(clicks)
     wrong = flip < e_det
-    wrong[n_signal:] = flip[n_signal:] < 0.5
+    wrong[signal.size:] = flip[signal.size:] < 0.5
     return clicks, int(np.count_nonzero(sift)), int(np.count_nonzero(sift & wrong))
 
 
-def _block_counts(rng: np.random.Generator, size: int, mu: float, cdf: np.ndarray | None,
+def _block_counts(rng: np.random.Generator, u: np.ndarray, mu: float, table: tuple | None,
                   eta: float, y0: float, e_det: float) -> tuple[int, int, int]:
-    """(detections, sifted, errors) of one block.
+    """(detections, sifted, errors) of one block of u.size pulses, drawn in ``u``.
 
     Draw order: photon numbers (``_photons``: one uniform per pulse inverted
-    against ``cdf``, cut off where the tail falls below 2**-53, or ``rng.poisson``
-    where mu > ``_INVERSION_MU_MAX`` and ``cdf`` is None), one click uniform per pulse
-    with photons, in pulse order (``_signal``), dark-count positions (``_dark``), then bases
-    and outcome flips for the clicks only (``_sift``): the signal clicks first,
-    then the dark-only clicks.
+    against the CDF in ``table``, cut off where the tail falls below 2**-53, or
+    ``rng.poisson`` where mu > ``_INVERSION_MU_MAX`` and ``table`` is None), one click
+    uniform per pulse with photons, in pulse order (``_signal``), dark-count positions
+    (``_dark``), then bases and outcome flips for the clicks only (``_sift``): the
+    signal clicks first, then the dark-only clicks.
     """
-    lit, photons = _photons(rng, size, mu, cdf)
-    signal = _signal(rng, size, lit, photons, eta)
-    dark = _dark(rng, size, y0)
+    lit, photons = _photons(rng, u, mu, table)
+    signal = _signal(rng, u, lit, photons, eta)
+    dark = _dark(rng, u.size, y0)
     return _sift(rng, signal, dark, e_det)
 
 
@@ -176,7 +190,7 @@ def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> S
     n_pulses, seed = int(n_pulses), int(seed)
     eta = transmittance(p)
     y0 = background_yield(p)
-    cdf = _photon_cdf(mu)
+    table = _guide(_photon_cdf(mu))
 
     n_blocks = (n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
     n_workers = min(_usable_cpus(), _MAX_THREADS, n_blocks)
@@ -188,16 +202,17 @@ def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> S
     failures: list[BaseException] = []
 
     def work() -> None:
-        # each worker takes the next block until none is left; all stop once one has failed
+        # each worker draws its blocks in one buffer until none is left; all stop once one has failed
         try:
+            u = np.empty(min(BLOCK_SIZE, n_pulses))
             while True:
                 with lock:
                     b = None if failures else next(blocks, None)
                     if b is None:
                         return
                     rng = _block_rng(seed, b)
-                size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
-                block_counts[b] = _block_counts(rng, size, mu, cdf, eta, y0, p.e_det)
+                block_counts[b] = _block_counts(rng, u[:n_pulses - b * BLOCK_SIZE], mu, table,
+                                                eta, y0, p.e_det)
                 del rng
         except BaseException as exc:
             failures.append(exc)

@@ -275,6 +275,35 @@ class TestThreadedBlocks:
             sys.setswitchinterval(interval)
         assert counts(s) == serial_counts(p, mu, 9 * BLOCK_SIZE + 3, 5)
 
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("n_pulses", [2 * BLOCK_SIZE + 7, BLOCK_SIZE // 3])
+    def test_one_buffer_per_worker(self, monkeypatch, cpus, n_pulses):
+        """Each worker draws all its blocks, a short last one included, in one buffer of
+        min(BLOCK_SIZE, n_pulses), and the counts still equal the serial loop's."""
+        _set_cpus(monkeypatch, cpus)
+        real = montecarlo._block_counts
+        seen = []  # (thread, buffer, block size) per block
+
+        def tracked(rng, u, *args):
+            seen.append((threading.get_ident(), u.base, u.size))
+            return real(rng, u, *args)
+
+        monkeypatch.setattr(montecarlo, "_block_counts", tracked)
+        for channel in ("flume", "bright", "dark_dominated"):
+            p, mu = ORACLE_CHANNELS[channel]
+            seen.clear()
+            s = simulate_session(p, mu, n_pulses, 31)
+            assert counts(s) == serial_counts(p, mu, n_pulses, 31)
+            n_blocks = -(-n_pulses // BLOCK_SIZE)
+            assert sorted(size for _, _, size in seen) == sorted(
+                min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE) for b in range(n_blocks))
+            buffers = {}
+            for thread, base, _ in seen:
+                assert base.size == min(BLOCK_SIZE, n_pulses)
+                assert buffers.setdefault(thread, base) is base
+            assert len({id(base) for base in buffers.values()}) == len(buffers)
+            assert len(buffers) <= min(cpus, n_blocks)
+
     @pytest.mark.parametrize("cpus", [1, 2, 64])
     def test_generators_made_in_windows(self, monkeypatch, cpus):
         _set_cpus(monkeypatch, cpus)
@@ -319,7 +348,7 @@ class TestThreadedBlocks:
 
         class Broken:
             def __getattr__(self, name):
-                def draw(*args):
+                def draw(*args, **kwargs):
                     raise RuntimeError("broken generator")
                 return draw
 
@@ -393,8 +422,8 @@ class TestPhotonTable:
         assert montecarlo._photon_cdf(0.0).tolist() == [1.0]
         assert montecarlo._photon_cdf(montecarlo._INVERSION_MU_MAX) is not None
         assert montecarlo._photon_cdf(np.nextafter(montecarlo._INVERSION_MU_MAX, np.inf)) is None
-        lit, photons = montecarlo._photons(np.random.default_rng(0), BLOCK_SIZE, 0.0,
-                                           montecarlo._photon_cdf(0.0))
+        lit, photons = montecarlo._photons(np.random.default_rng(0), np.empty(BLOCK_SIZE), 0.0,
+                                           montecarlo._guide(montecarlo._photon_cdf(0.0)))
         assert lit.size == photons.size == 0
 
     @pytest.mark.parametrize("mu", [1e-3, 0.5, montecarlo._INVERSION_MU_MAX,
@@ -403,11 +432,12 @@ class TestPhotonTable:
         """Photon numbers pooled over 64 blocks fit Poisson(mu): bins with fewer than 20
         expected counts are merged, and the chi-square statistic stays below its mean plus
         6 standard deviations (the normal approximation's one-sided 1e-9 point)."""
-        cdf = montecarlo._photon_cdf(mu)
+        table = montecarlo._guide(montecarlo._photon_cdf(mu))
+        u = np.empty(BLOCK_SIZE)
         hist = np.zeros(1, dtype=np.int64)
         for b in range(64):
             rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(b,)))
-            lit, photons = montecarlo._photons(rng, BLOCK_SIZE, mu, cdf)
+            lit, photons = montecarlo._photons(rng, u, mu, table)
             assert np.all(photons >= 1) and np.all(np.diff(lit) > 0)
             h = np.bincount(photons, minlength=hist.size)
             h[0] = BLOCK_SIZE - lit.size
@@ -427,6 +457,89 @@ class TestPhotonTable:
         assert chi2 <= df + 6 * np.sqrt(2 * df), (mu, chi2, df)
         mean = hist @ np.arange(hist.size) / n
         assert abs(mean - mu) <= 6 * np.sqrt(mu / n)
+
+
+def edge_uniforms(cdf):
+    """Uniforms where a guide lookup could go wrong: every entry of ``cdf`` and its
+    neighbours, every guide cell's start and the double below it, 0 and 1 - 2**-53."""
+    starts = np.arange(montecarlo._CELLS) / montecarlo._CELLS
+    u = np.concatenate([cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf),
+                        starts, np.nextafter(starts, -np.inf), [0.0, 1 - 2.0**-53]])
+    return u[(u >= 0) & (u < 1)]
+
+
+def assert_photons_match_search(cdf, u, lit, photons):
+    expected = np.searchsorted(cdf, u, side="right")
+    assert np.array_equal(lit, np.flatnonzero(expected))
+    assert np.array_equal(photons, expected[lit])
+
+
+INDEXED_MUS = [0.0, 1e-300, 1e-9, 0.01, 0.5, 3.0, 20.0, 49.9, 50.0]
+
+
+class TestIndexedSearch:
+    """_photons' guide lookup gives exactly np.searchsorted(cdf, u, side="right")."""
+
+    @pytest.mark.parametrize("mu", INDEXED_MUS)
+    def test_edge_uniforms(self, mu):
+        cdf = montecarlo._photon_cdf(mu)
+        u = edge_uniforms(cdf)
+        lit, photons = montecarlo._photons(FixedUniforms(u), np.empty(u.size), mu,
+                                           montecarlo._guide(cdf))
+        assert_photons_match_search(cdf, u, lit, photons)
+
+    def test_entries_on_cell_boundaries(self):
+        # a table whose entries sit at cell starts and one double either side of them
+        starts = np.arange(1, montecarlo._CELLS) / montecarlo._CELLS
+        cdf = np.sort(np.concatenate([starts, np.nextafter(starts, -np.inf),
+                                      np.nextafter(starts, np.inf)]))
+        u = edge_uniforms(cdf)
+        lit, photons = montecarlo._photons(FixedUniforms(u), np.empty(u.size), 1.0,
+                                           montecarlo._guide(cdf))
+        assert_photons_match_search(cdf, u, lit, photons)
+
+    @pytest.mark.parametrize("mu", INDEXED_MUS)
+    def test_seeded_blocks(self, mu):
+        cdf = montecarlo._photon_cdf(mu)
+        table = montecarlo._guide(cdf)
+        buffer = np.empty(BLOCK_SIZE)
+        for b in range(4):
+            lit, photons = montecarlo._photons(montecarlo._block_rng(3, b), buffer, mu, table)
+            u = montecarlo._block_rng(3, b).random(BLOCK_SIZE)
+            assert_photons_match_search(cdf, u, lit, photons)
+
+
+def sift_row_counts(seed, signal, dark, size, e_det):
+    """_sift's counts from bool rows of the block: the signal row, then the dark-only clicks."""
+    signal_row = np.zeros(size, dtype=bool)
+    signal_row[signal] = True
+    dark_row = np.zeros(size, dtype=bool)
+    dark_row[dark] = True
+    n_signal = int(signal_row.sum())
+    k = n_signal + int((dark_row & ~signal_row).sum())
+    rng = np.random.default_rng(seed)
+    basis_match = rng.integers(0, 2, k) == rng.integers(0, 2, k)
+    flip = rng.random(k)
+    wrong = np.concatenate([flip[:n_signal] < e_det, flip[n_signal:] < 0.5])
+    return k, int(basis_match.sum()), int((basis_match & wrong).sum())
+
+
+class TestSift:
+    @pytest.mark.parametrize("signal_on", ["nothing", "every dark position", "no dark position",
+                                           "half the dark positions", "every pulse"])
+    @pytest.mark.parametrize("n_dark", [0, 1, 300])
+    def test_double_clicks_count_once(self, signal_on, n_dark):
+        rng = np.random.default_rng([n_dark, 1])
+        dark = rng.choice(BLOCK_SIZE, n_dark, replace=False, shuffle=False)
+        others = np.setdiff1d(np.arange(0, BLOCK_SIZE, 5), dark)
+        signal = {"nothing": np.arange(0),
+                  "every dark position": np.union1d(dark, others),
+                  "no dark position": others,
+                  "half the dark positions": np.union1d(dark[::2], others),
+                  "every pulse": np.arange(BLOCK_SIZE)}[signal_on]
+        got = montecarlo._sift(np.random.default_rng(9), signal, dark, 0.01)
+        assert got == sift_row_counts(9, signal, dark, BLOCK_SIZE, 0.01)
+        assert got[0] == np.union1d(signal, dark).size
 
 
 class TestDarkCounts:
@@ -472,13 +585,16 @@ def click_chance(n, eta):
 
 
 class FixedUniforms:
-    """A generator stand-in whose every uniform is ``v``."""
+    """A generator stand-in whose uniforms are ``v``: one value for every draw, or one per
+    element of the drawn array."""
 
     def __init__(self, v):
         self.v = v
 
-    def random(self, size):
-        return np.full(size, self.v)
+    def random(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out[...] = self.v
+        return out
 
 
 SIGNAL_PHOTONS = [1, 2, 7, 150]
@@ -494,8 +610,8 @@ class TestSignalClicks:
         rng = np.random.default_rng([n, SIGNAL_ETAS.index(eta)])
         lit = np.arange(BLOCK_SIZE)
         photons = np.full(BLOCK_SIZE, n)
-        clicks = sum(int(np.count_nonzero(montecarlo._signal(rng, BLOCK_SIZE, lit, photons, eta)))
-                     for _ in range(16))
+        u = np.empty(BLOCK_SIZE)
+        clicks = sum(montecarlo._signal(rng, u, lit, photons, eta).size for _ in range(16))
         total = 16 * BLOCK_SIZE
         chance = float(click_chance(n, eta))
         assert abs(clicks / total - chance) <= 4 * np.sqrt(chance * (1 - chance) / total), (
@@ -507,9 +623,8 @@ class TestSignalClicks:
         lit = np.arange(0, BLOCK_SIZE, 3)
         photons = rng.integers(1, 200, lit.size)
         with np.errstate(all="raise"):
-            signal = montecarlo._signal(rng, BLOCK_SIZE, lit, photons, eta)
-        expected = np.zeros(BLOCK_SIZE, dtype=bool)
-        expected[lit] = eta == 1.0
+            signal = montecarlo._signal(rng, np.empty(BLOCK_SIZE), lit, photons, eta)
+        expected = lit if eta == 1.0 else lit[:0]
         assert np.array_equal(signal, expected)
 
     @pytest.mark.parametrize("eta", SIGNAL_ETAS)
@@ -522,8 +637,8 @@ class TestSignalClicks:
             below, above = (float(chance * (1 + d)) for d in (-mpmath.mpf("1e-15"), mpmath.mpf("1e-15")))
         lit, photons = np.array([0]), np.array([n])
         with np.errstate(all="raise"):
-            clicked_below = montecarlo._signal(FixedUniforms(below), 1, lit, photons, eta)[0]
-            clicked_above = montecarlo._signal(FixedUniforms(above), 1, lit, photons, eta)[0]
+            clicked_below = montecarlo._signal(FixedUniforms(below), np.empty(1), lit, photons, eta).size
+            clicked_above = montecarlo._signal(FixedUniforms(above), np.empty(1), lit, photons, eta).size
         assert clicked_below or chance == 0
         assert not clicked_above or chance == 1
 
@@ -537,7 +652,8 @@ class TestOnePulseBlock:
             s = simulate_session(p, mu, BLOCK_SIZE + 1, seed)
             assert counts(s) == serial_counts(p, mu, BLOCK_SIZE + 1, seed)
             rng = np.random.default_rng(seed)
-            last = montecarlo._block_counts(rng, 1, mu, montecarlo._photon_cdf(mu),
+            last = montecarlo._block_counts(rng, np.empty(1), mu,
+                                            montecarlo._guide(montecarlo._photon_cdf(mu)),
                                             transmittance(p), background_yield(p), p.e_det)
             assert 0 <= last[2] <= last[1] <= last[0] <= 1
             assert last[0] == 1 or background_yield(p) < 1.0

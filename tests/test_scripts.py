@@ -23,6 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
         ("tomography_cost.py", ["--n", "32"]),
         ("kernel_cost.py", ["--repeats", "3"]),
         ("mc_cost.py", ["--blocks", "3", "--repeats", "1", "--n-pulses", "200000"]),
+        # above the inversion threshold, so the photon numbers come from rng.poisson
+        ("mc_cost.py", ["--mu", "60", "--blocks", "3", "--repeats", "1", "--n-pulses", "200000"]),
     ],
 )
 def test_script_runs(script, args, tmp_path):
