@@ -211,8 +211,8 @@ def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> S
                     if b is None:
                         return
                     rng = _block_rng(seed, b)
-                block_counts[b] = _block_counts(rng, u[:n_pulses - b * BLOCK_SIZE], mu, table,
-                                                eta, y0, p.e_det)
+                size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
+                block_counts[b] = _block_counts(rng, u[:size], mu, table, eta, y0, p.e_det)
                 del rng
         except BaseException as exc:
             failures.append(exc)

@@ -245,23 +245,40 @@ class TestThreadedBlocks:
     @pytest.mark.parametrize("n_pulses", [10**7, 1, 3 * BLOCK_SIZE - 5])
     def test_any_cpu_count_same_stats(self, monkeypatch, n_pulses):
         started = []
+        seen = []  # (thread, buffer, block size) per block
 
         class CountingThread(threading.Thread):
             def start(self):
                 started.append(self)
                 super().start()
 
+        real = montecarlo._block_counts
+
+        def tracked(rng, u, *args):
+            seen.append((threading.get_ident(), u.base, u.size))
+            return real(rng, u, *args)
+
         monkeypatch.setattr(montecarlo.threading, "Thread", CountingThread)
+        monkeypatch.setattr(montecarlo, "_block_counts", tracked)
         p = ChannelParams().at_length(10.5)
         n_blocks = -(-n_pulses // BLOCK_SIZE)
         stats = {}
         for cpus in (1, 2, 3, 64):
             _set_cpus(monkeypatch, cpus)
             started.clear()
+            seen.clear()
             stats[cpus] = simulate_session(p, 0.5, n_pulses, 11)
             # the calling thread works too, so at most n_blocks - 1 threads start
             assert len(started) == min(cpus, 4, n_blocks) - 1
             assert not any(t.is_alive() for t in started)
+            # each worker draws all its blocks, a short last one included, in one buffer
+            assert sorted(size for _, _, size in seen) == sorted(
+                min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE) for b in range(n_blocks))
+            buffers = {}
+            for thread, base, _ in seen:
+                assert base.size == min(BLOCK_SIZE, n_pulses)
+                assert buffers.setdefault(thread, base) is base
+            assert len({id(base) for base in buffers.values()}) == len(buffers) <= len(started) + 1
         assert stats[1] == stats[2] == stats[3] == stats[64]
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
@@ -274,35 +291,6 @@ class TestThreadedBlocks:
         finally:
             sys.setswitchinterval(interval)
         assert counts(s) == serial_counts(p, mu, 9 * BLOCK_SIZE + 3, 5)
-
-    @pytest.mark.parametrize("cpus", [1, 2, 4])
-    @pytest.mark.parametrize("n_pulses", [2 * BLOCK_SIZE + 7, BLOCK_SIZE // 3])
-    def test_one_buffer_per_worker(self, monkeypatch, cpus, n_pulses):
-        """Each worker draws all its blocks, a short last one included, in one buffer of
-        min(BLOCK_SIZE, n_pulses), and the counts still equal the serial loop's."""
-        _set_cpus(monkeypatch, cpus)
-        real = montecarlo._block_counts
-        seen = []  # (thread, buffer, block size) per block
-
-        def tracked(rng, u, *args):
-            seen.append((threading.get_ident(), u.base, u.size))
-            return real(rng, u, *args)
-
-        monkeypatch.setattr(montecarlo, "_block_counts", tracked)
-        for channel in ("flume", "bright", "dark_dominated"):
-            p, mu = ORACLE_CHANNELS[channel]
-            seen.clear()
-            s = simulate_session(p, mu, n_pulses, 31)
-            assert counts(s) == serial_counts(p, mu, n_pulses, 31)
-            n_blocks = -(-n_pulses // BLOCK_SIZE)
-            assert sorted(size for _, _, size in seen) == sorted(
-                min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE) for b in range(n_blocks))
-            buffers = {}
-            for thread, base, _ in seen:
-                assert base.size == min(BLOCK_SIZE, n_pulses)
-                assert buffers.setdefault(thread, base) is base
-            assert len({id(base) for base in buffers.values()}) == len(buffers)
-            assert len(buffers) <= min(cpus, n_blocks)
 
     @pytest.mark.parametrize("cpus", [1, 2, 64])
     def test_generators_made_in_windows(self, monkeypatch, cpus):

@@ -22,7 +22,6 @@ ROOT = Path(__file__).resolve().parent.parent
         ("mc_crosscheck.py", ["--n-pulses", "1000", "--mu", "0.001"]),
         ("tomography_cost.py", ["--n", "32"]),
         ("kernel_cost.py", ["--repeats", "3"]),
-        ("mc_cost.py", ["--blocks", "3", "--repeats", "1", "--n-pulses", "200000"]),
         # above the inversion threshold, so the photon numbers come from rng.poisson
         ("mc_cost.py", ["--mu", "60", "--blocks", "3", "--repeats", "1", "--n-pulses", "200000"]),
     ],
