@@ -5,10 +5,12 @@ Times, in one process, on the default flume channel at each ``--lengths`` and
 at ``--mu``:
 
 - the stages of one 2**16-pulse block, in the order ``montecarlo._block_counts``
-  draws them: photon numbers (``_photons``), signal clicks (``_signal``), dark
-  counts (``_dark``) and sift/outcome (``_sift``), then the whole block
-  (``_block_counts``), each over ``--blocks`` blocks of their own seeded streams,
-  all drawn in one reused buffer as each of ``simulate_session``'s workers does;
+  draws them: the lit count with its photon numbers (``_photons``), the signal
+  click count with its click chances (``_signal``), the dark count with the
+  double clicks (``_dark_only``) and sift/outcome (``_sift``), then the whole
+  block (``_block_counts``), each over ``--blocks`` blocks of their own seeded
+  streams, all drawn in one reused buffer as each of ``simulate_session``'s
+  workers does;
 - ``simulate_session`` at ``--n-pulses`` pulses (default 10**7), ``--repeats``
   times.
 
@@ -34,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from uwqkd import montecarlo  # noqa: E402
 from uwqkd.channel import ChannelParams, background_yield, transmittance  # noqa: E402
 
-STAGES = ("photon numbers", "signal clicks", "dark counts", "sift/outcome", "whole block")
+STAGES = ("lit photon numbers", "signal clicks", "dark/double clicks", "sift/outcome", "whole block")
 
 
 def block_stages(seed: int, block: int, u: np.ndarray, mu: float, table, eta: float, y0: float,
@@ -43,13 +45,13 @@ def block_stages(seed: int, block: int, u: np.ndarray, mu: float, table, eta: fl
     whole block is ``_block_counts`` on a second generator of the same stream."""
     rng = montecarlo._block_rng(seed, block)
     t0 = time.perf_counter()
-    lit, photons = montecarlo._photons(rng, u, mu, table)
+    photons = montecarlo._photons(rng, u, mu, table)
     t1 = time.perf_counter()
-    signal = montecarlo._signal(rng, u, lit, photons, eta)
+    signal = montecarlo._signal(rng, u, photons, table, eta)
     t2 = time.perf_counter()
-    dark = montecarlo._dark(rng, u.size, y0)
+    dark_only = montecarlo._dark_only(rng, u.size, y0, signal)
     t3 = time.perf_counter()
-    montecarlo._sift(rng, signal, dark, e_det)
+    montecarlo._sift(rng, signal, dark_only, e_det)
     t4 = time.perf_counter()
     rng = montecarlo._block_rng(seed, block)
     t5 = time.perf_counter()
@@ -76,13 +78,15 @@ def main(argv=None):
             ap.error(f"--{name.replace('_', '-')} must be >= 1")
 
     channels = {length: ChannelParams().at_length(length) for length in args.lengths}
-    table = montecarlo._guide(montecarlo._photon_cdf(args.mu))
+    cdf = montecarlo._photon_cdf(args.mu)
+    tables = {length: montecarlo._table(cdf, transmittance(p)) for length, p in channels.items()}
     u = np.empty(montecarlo.BLOCK_SIZE)
     stages = {length: [[] for _ in STAGES] for length in channels}
     for b in range(args.blocks):
         for length, p in channels.items():
-            for out, s in zip(stages[length], block_stages(1, b, u, args.mu, table, transmittance(p),
-                                                             background_yield(p), p.e_det)):
+            for out, s in zip(stages[length], block_stages(1, b, u, args.mu, tables[length],
+                                                             transmittance(p), background_yield(p),
+                                                             p.e_det)):
                 out.append(s / montecarlo.BLOCK_SIZE * 1e9)
     sessions = {length: [] for length in channels}
     for r in range(args.repeats):

@@ -157,10 +157,22 @@ def _format_distinct(values: np.ndarray, fmt: str | None = None) -> np.ndarray:
 
     Each distinct bit pattern is formatted once: with the printf format ``fmt``
     (``%`` of Python's float or int), or with ``json.dumps`` when ``fmt`` is None.
-    Deduplicating bits rather than values keeps -0.0 apart from 0.0.
+    Deduplicating bits rather than values keeps -0.0 apart from 0.0.  The bits are
+    sorted stably, which is faster than ``np.unique``'s quicksort on the long runs of
+    equal values in a mostly-zero Stokes map; the text is then gathered once by index.
     """
-    distinct, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
-    v = distinct.view(values.dtype).tolist()
+    bits = values.view(f"u{values.itemsize}")
+    order = np.argsort(bits, kind="stable")
+    bits = bits[order]
+    new = np.empty(bits.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    v = bits[new].view(values.dtype).tolist()
+    del bits
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new)
+    inverse -= 1
+    del order, new  # as np.unique's, only the inverse outlives the dedupe
     text = json.dumps(v)[1:-1] if fmt is None else ((fmt + "\0") * len(v) % tuple(v))[:-1]
     del v  # the strings below are the largest temporaries
     return np.array(text.split(", " if fmt is None else "\0"), dtype=object)[inverse]

@@ -7,31 +7,32 @@ dark counts OR-ed into the detection window, and uniform basis choice on both
 sides.  Double clicks (signal + dark) resolve to the signal outcome; dark-only
 clicks carry a uniformly random outcome.
 
-Each block draws one uniform per pulse and turns it into a photon number by
-inversion against a Poisson CDF table built once per session, by indexed search
-(Chen & Asau 1974): a guide table over 2**12 equal cells of the uniforms answers
-all but the pulses whose cell also holds an entry at or below their uniform.
-The table stops at the first photon number K whose tail P(N > K) is below
-2**-53, the spacing of the uniforms, and that tail is folded into K.  Above
-mu = 50 (``_INVERSION_MU_MAX``) the photon numbers come from ``rng.poisson``
-instead.  Signal clicks are drawn for the pulses with photons only, one uniform
-each against 1 - (1-eta)^n, and kept as sorted pulse indices; dark counts are
-drawn sparsely: their number from Binomial(block size, Y0), then that many
-distinct positions.  Bases and outcomes are drawn only for the pulses that
-click; no other pulse's draws could reach a count.
+A block draws only its pulses with photons and keeps no pulse positions; both
+substitutions sample the same process exactly (Devroye 1986, ch. X-XI).  The
+lit count is Binomial(block size, 1 - P(N=0)), and each lit pulse's uniform v
+gives w = P(N=0) + (1 - P(N=0)) v, inverted against a Poisson CDF table built
+once per session by indexed search (Chen & Asau 1974): a guide table over 2**12
+equal cells answers all but the w whose cell also holds an entry at or below
+them.  The table stops at the first photon number K whose tail P(N > K) is
+below 2**-53, the spacing of the uniforms, and that tail is folded into K.  A
+second uniform per lit pulse, against the session's table of 1 - (1-eta)^n for
+n = 1 .. K, gives the S signal clicks.  The D dark counts are Binomial(block
+size, Y0) at distinct, uniformly placed pulses, so Hypergeometric(S, size - S,
+D) of them are double clicks.  Bases and outcomes are drawn for the clicks
+only.  Above mu = 50 (``_INVERSION_MU_MAX``) the photon numbers come from
+``rng.poisson`` and their click chances from ``expm1``.
 
 Pulses are simulated in blocks of 2**16, each block drawing from its own stream
 derived from the master seed.  The blocks run on min(usable CPUs, 4, number of
 blocks) threads, the calling thread included, each drawing its blocks' uniforms
-into one buffer; past the uniform draw and the lit-pulse scan (and
-``rng.poisson``'s row), a block's arrays hold its lit pulses or fewer.  numpy
-releases the interpreter lock inside its array calls (the draws, the guide
-lookups, the click chances' ``expm1`` and the nonzero scans) but not between
-them, and on the flume's channels the calls after the signal draw see a few
-thousand values or fewer, so their cost is mostly call overhead under the lock.
-Each thread takes the next block and makes its generator under one lock, so
-each thread holds one generator at a time.  Each block's counts are integers
-and are summed exactly, so results are reproducible and independent of the
+into one buffer; a block's arrays hold its lit pulses (~39 % of it at mu = 0.5)
+or fewer, ``rng.poisson``'s row aside.  numpy releases the interpreter lock
+inside its array calls (the uniform draws, the table lookups and comparisons)
+but not between them; the counts and double clicks are scalar draws, and the
+sift sees a few thousand clicks or fewer on the flume's channels, so their cost
+is mostly call overhead under the lock.  Each thread takes the next block and
+makes its generator under one lock, so it holds one generator at a time.  The
+blocks' integer counts are summed exactly, so results do not depend on the
 number of threads.
 """
 
@@ -50,12 +51,11 @@ BLOCK_SIZE = 2**16
 _MAX_THREADS = 4
 _BAND_SE = 4.0  # half-width of within_model_band's band, in standard errors
 _MU_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)  # numpy's Poisson limit
-# Largest mu whose photon numbers are drawn by inversion, kept so that seeded sessions keep
-# their draws: on a 2-core x86-64 host (numpy 2.4) a 2**16-pulse row costs less by inversion
-# than by rng.poisson at each mu timed (20: 18-20 against 62-68 ns per pulse; 50: 17-19
-# against 50-54; 60: 17-19 against 49-52; 100: 18 against 46-48).
+# Largest mu whose photon numbers are drawn by inversion, by rng.poisson above it.  Inversion
+# costs less at each mu timed (2-core x86-64, numpy 2.4, ns per pulse of a 2**16-pulse row; 20:
+# 18-20 against 62-68; 50: 17-19 against 50-54; 100: 18 against 46-48), so the fork could go.
 _INVERSION_MU_MAX = 50.0
-_CELLS = 2**12  # cells of _photons' guide table; a power of two, so u * _CELLS is exact
+_CELLS = 2**12  # cells of _photons' guide table; a power of two, so w * _CELLS is exact
 
 
 @dataclass(frozen=True)
@@ -102,63 +102,66 @@ def _photon_cdf(mu: float) -> np.ndarray | None:
     return np.where(below[:n] < 0.5, below[:n], 1.0 - above[:n])
 
 
-def _guide(cdf: np.ndarray | None) -> tuple[np.ndarray, np.ndarray] | None:
-    """``_photons``' table of ``cdf`` (None for None): guide[j], the number of entries
-    <= j / ``_CELLS``, and ``cdf`` with +inf appended."""
-    return None if cdf is None else (np.searchsorted(cdf, np.arange(_CELLS) / _CELLS, side="right"),
-                                     np.append(cdf, np.inf))
+def _click_chance(photons: np.ndarray, eta: float) -> np.ndarray:
+    """1 - (1 - eta)**n, as -expm1(n log1p(-eta)), for each photon number n >= 1 of ``photons``."""
+    return -np.expm1(photons * (math.log1p(-eta) if eta < 1 else -math.inf))  # log1p(-1) raises
 
 
-def _photons(rng: np.random.Generator, u: np.ndarray, mu: float,
-             table: tuple[np.ndarray, np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
-    """(indices of the pulses with photons, their photon numbers) of a block of u.size.
+def _table(cdf: np.ndarray | None, eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """A session's block table of ``cdf`` (None for None): guide[j], the number of entries
+    <= j / ``_CELLS`` for j = 0 .. ``_CELLS`` (the last for a w that rounds to 1.0), ``cdf``
+    with +inf appended, and chance[n] = ``_click_chance`` of n for n = 1 .. K, with chance[0] = 0."""
+    return None if cdf is None else (
+        np.searchsorted(cdf, np.arange(_CELLS + 1) / _CELLS, side="right"), np.append(cdf, np.inf),
+        np.append(0.0, _click_chance(np.arange(1, cdf.size + 1), eta)))  # never 0 * log1p(-1)
 
-    A pulse's photon number is the count of CDF entries <= its uniform u, drawn into ``u``:
-    guide[floor(u * _CELLS)] counts those <= the start of u's cell, and only u with the next
-    entry <= u too are searched.  Without a table the numbers come from ``rng.poisson``.
+
+def _photons(rng: np.random.Generator, u: np.ndarray, mu: float, table: tuple | None) -> np.ndarray:
+    """Photon numbers of the pulses with photons in a block of u.size, in no given order.
+
+    Their number is Binomial(u.size, 1 - P(N=0)).  Each draws a uniform v into ``u``, and
+    its photon number is the count of CDF entries <= w = P(N=0) + (1 - P(N=0)) v:
+    guide[floor(w * _CELLS)] counts those <= the start of w's cell, and only w with the next
+    entry <= w too are searched.  Without a table, ``rng.poisson`` draws one per pulse.
     """
     if table is None:
         photons = rng.poisson(mu, u.size)
-        lit = np.flatnonzero(photons)
-        return lit, photons[lit]
-    guide, padded = table
-    lit = np.flatnonzero(rng.random(out=u) >= padded[0])
-    u_lit = u[lit]
-    photons = guide[(u_lit * _CELLS).astype(np.intp)]
-    search = np.flatnonzero(u_lit >= padded[photons])
-    photons[search] = np.searchsorted(padded, u_lit[search], side="right")
-    return lit, photons
+        return photons[photons > 0]
+    guide, padded, _ = table
+    w = rng.random(out=u[:rng.binomial(u.size, 1 - padded[0])])
+    w *= 1 - padded[0]
+    w += padded[0]
+    photons = guide[(w * _CELLS).astype(np.intp)]
+    search = np.flatnonzero(w >= padded[photons])
+    photons[search] = np.searchsorted(padded, w[search], side="right")
+    return photons
 
 
-def _dark(rng: np.random.Generator, size: int, y0: float) -> np.ndarray:
-    """Positions of the pulses with a dark count in one block, in no given order.
-
-    Their number is Binomial(size, y0) and they are distinct and uniformly placed,
-    so the block's dark indicators are i.i.d. Bernoulli(y0) for any y0 in [0, 1].
-    """
-    return rng.choice(size, rng.binomial(size, y0), replace=False, shuffle=False)
-
-
-def _signal(rng: np.random.Generator, u: np.ndarray, lit: np.ndarray, photons: np.ndarray,
-            eta: float) -> np.ndarray:
-    """Sorted signal-click indices of a block: a uniform per lit pulse, in ``u``, below 1 - (1 - eta)**n."""
-    log_miss = math.log1p(-eta) if eta < 1 else -math.inf  # log1p(-1) raises
-    return lit[rng.random(out=u[:lit.size]) < -np.expm1(photons * log_miss)]
+def _signal(rng: np.random.Generator, u: np.ndarray, photons: np.ndarray, table: tuple | None,
+            eta: float) -> int:
+    """Signal clicks among a block's lit pulses: a uniform each, in ``u``, below the chance of its
+    n photons, chance[n] of ``table`` or, without one, ``_click_chance``."""
+    chance = _click_chance(photons, eta) if table is None else table[2][photons]
+    return int(np.count_nonzero(rng.random(out=u[:photons.size]) < chance))
 
 
-def _sift(rng: np.random.Generator, signal: np.ndarray, dark: np.ndarray,
-          e_det: float) -> tuple[int, int, int]:
-    """(detections, sifted, errors) of a block's clicks, the sorted signal clicks first.
+def _dark_only(rng: np.random.Generator, size: int, y0: float, signal: int) -> int:
+    """Dark-only clicks of a block of ``size`` pulses with ``signal`` signal clicks: of the
+    Binomial(size, y0) dark counts at distinct, uniformly placed pulses (i.i.d. Bernoulli(y0)),
+    Hypergeometric(signal, size - signal, dark) fall on a signal click, drawn if both are > 0."""
+    dark = int(rng.binomial(size, y0))
+    return dark - (int(rng.hypergeometric(signal, size - signal, dark)) if signal and dark else 0)
 
-    Alice's bases, Bob's bases and an outcome flip per click: a signal click is
-    wrong with probability e_det, a dark-only click with probability 1/2.
-    """
-    double = np.searchsorted(signal, dark, side="right") - np.searchsorted(signal, dark)
-    clicks = signal.size + dark.size - int(np.count_nonzero(double))
+
+def _sift(rng: np.random.Generator, signal: int, dark_only: int, e_det: float) -> tuple[int, int, int]:
+    """(detections, sifted, errors) of a block's clicks, the signal clicks first: Alice's and
+    Bob's bases and an outcome flip per click, wrong with probability e_det on a signal click
+    and 1/2 on a dark-only click."""
+    clicks = signal + dark_only
     sift = rng.integers(0, 2, clicks) == rng.integers(0, 2, clicks)
     flip = rng.random(clicks)
     wrong = flip < e_det
-    wrong[signal.size:] = flip[signal.size:] < 0.5
+    wrong[signal:] = flip[signal:] < 0.5
     return clicks, int(np.count_nonzero(sift)), int(np.count_nonzero(sift & wrong))
 
 
@@ -166,17 +169,14 @@ def _block_counts(rng: np.random.Generator, u: np.ndarray, mu: float, table: tup
                   eta: float, y0: float, e_det: float) -> tuple[int, int, int]:
     """(detections, sifted, errors) of one block of u.size pulses, drawn in ``u``.
 
-    Draw order: photon numbers (``_photons``: one uniform per pulse inverted
-    against the CDF in ``table``, cut off where the tail falls below 2**-53, or
-    ``rng.poisson`` where mu > ``_INVERSION_MU_MAX`` and ``table`` is None), one click
-    uniform per pulse with photons, in pulse order (``_signal``), dark-count positions
-    (``_dark``), then bases and outcome flips for the clicks only (``_sift``): the
-    signal clicks first, then the dark-only clicks.
+    Draw order: the lit count and a uniform per lit pulse (``_photons``; ``rng.poisson``'s
+    row where ``table`` is None), a click uniform per lit pulse (``_signal``), the dark count
+    and, unless it or the signal clicks are 0, the double clicks (``_dark_only``), then bases
+    and outcome flips for the clicks, the signal clicks first (``_sift``).
     """
-    lit, photons = _photons(rng, u, mu, table)
-    signal = _signal(rng, u, lit, photons, eta)
-    dark = _dark(rng, u.size, y0)
-    return _sift(rng, signal, dark, e_det)
+    photons = _photons(rng, u, mu, table)
+    signal = _signal(rng, u, photons, table, eta)
+    return _sift(rng, signal, _dark_only(rng, u.size, y0, signal), e_det)
 
 
 def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> SessionStats:
@@ -188,9 +188,8 @@ def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> S
     if not (_is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     n_pulses, seed = int(n_pulses), int(seed)
-    eta = transmittance(p)
-    y0 = background_yield(p)
-    table = _guide(_photon_cdf(mu))
+    eta, y0 = transmittance(p), background_yield(p)
+    table = _table(_photon_cdf(mu), eta)
 
     n_blocks = (n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
     n_workers = min(_usable_cpus(), _MAX_THREADS, n_blocks)

@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 import weakref
 
 import mpmath
@@ -107,23 +108,59 @@ class TestEstimate:
 
 def serial_counts(p, mu, n_pulses, seed):
     """(detections, sifted, errors) from a one-thread per-block loop in simulate_session's
-    draw order, kept as its oracle: a photon number for every pulse by inversion of one
-    uniform (rng.poisson above the inversion threshold), one uniform per pulse with photons
-    against its click chance 1 - (1 - eta)**n, a dark-count total and its positions, then
-    bases and outcome flips for the signal clicks and then the dark-only clicks."""
+    draw order, kept as its oracle: the number of pulses with photons, Binomial(size,
+    1 - P(N=0)), and their photon numbers by inversion of w = P(N=0) + (1 - P(N=0)) v for one
+    uniform v each (rng.poisson's row, its zeros dropped, above the inversion threshold), one
+    uniform per pulse with photons against its click chance 1 - (1 - eta)**n, the dark count,
+    the double clicks among them by a hypergeometric draw (only when both counts are
+    nonzero), then bases and outcome flips for the signal clicks and then the dark-only
+    clicks."""
+    eta = transmittance(p)
+    y0 = background_yield(p)
+    cdf = montecarlo._photon_cdf(mu)
+    detections = sifted = errors = 0
+    n_blocks = (n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
+    for b in range(n_blocks):
+        size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        if cdf is None:
+            n_phot = rng.poisson(mu, size)
+            n_phot = n_phot[n_phot > 0]
+        else:
+            n_lit = rng.binomial(size, 1 - cdf[0])
+            n_phot = np.searchsorted(cdf, cdf[0] + (1 - cdf[0]) * rng.random(n_lit), side="right")
+        n_signal = int((rng.random(n_phot.size) < 1 - (1 - eta) ** n_phot).sum())
+        n_dark = int(rng.binomial(size, y0))
+        both = int(rng.hypergeometric(n_signal, size - n_signal, n_dark)) if n_signal and n_dark else 0
+        k = n_signal + n_dark - both
+        basis_match = rng.integers(0, 2, k) == rng.integers(0, 2, k)
+        flip = rng.random(k)
+        wrong = np.concatenate([flip[:n_signal] < p.e_det, flip[n_signal:] < 0.5])
+        detections += k
+        sifted += int(basis_match.sum())
+        errors += int((basis_match & wrong).sum())
+    return detections, sifted, errors
+
+
+def positions_order_counts(p, mu, n_pulses, seed):
+    """(detections, sifted, errors) in the previous draw order: a photon number for every
+    pulse by inversion of one uniform, one uniform per pulse with photons against its click
+    chance, a dark-count total and its positions, then bases and outcome flips for the signal
+    clicks and then the dark-only clicks, counted on bool rows of the block."""
     return _inversion_order_counts(p, mu, n_pulses, seed,
                                    lambda rng, n, eta: rng.random(n.size) < 1 - (1 - eta) ** n)
 
 
 def binomial_order_counts(p, mu, n_pulses, seed):
-    """(detections, sifted, errors) in the previous draw order: as serial_counts, but with
-    a binomial of survivors for the pulses with photons in place of the click uniforms."""
+    """(detections, sifted, errors) in the draw order before that: as positions_order_counts,
+    but with a binomial of survivors for the pulses with photons in place of the click
+    uniforms."""
     return _inversion_order_counts(p, mu, n_pulses, seed,
                                    lambda rng, n, eta: rng.binomial(n, eta) > 0)
 
 
 def _inversion_order_counts(p, mu, n_pulses, seed, signal_clicks):
-    """The per-block loop of serial_counts, with ``signal_clicks(rng, n, eta)`` drawing
+    """The per-block loop of positions_order_counts, with ``signal_clicks(rng, n, eta)`` drawing
     the signal-click row of the pulses with photons from their photon numbers n."""
     eta = transmittance(p)
     y0 = background_yield(p)
@@ -362,11 +399,14 @@ DISTRIBUTION_CHANNELS = {
 
 @pytest.mark.parametrize("channel", sorted(DISTRIBUTION_CHANNELS))
 def test_draw_orders_agree_in_distribution(channel):
-    """Pooled over 200 seeds, simulate_session and the three earlier draw orders give the
-    same gain, sifted fraction and QBER within 4 combined standard errors."""
+    """Pooled over 200 seeds, simulate_session and the four earlier draw orders give the
+    same gain, sifted fraction and QBER within 4 combined standard errors.  The positions
+    order draws the dark counts' positions, so on the dark-dominated channels it checks the
+    hypergeometric double clicks against double clicks on drawn pulses."""
     p, mu = DISTRIBUTION_CHANNELS[channel]
     n = BLOCK_SIZE // 2
     orders = {"session": lambda seed: counts(simulate_session(p, mu, n, seed)),
+              "positions": lambda seed: positions_order_counts(p, mu, n, seed),
               "binomial": lambda seed: binomial_order_counts(p, mu, n, seed),
               "poisson": lambda seed: poisson_order_counts(p, mu, n, seed),
               "every": lambda seed: every_pulse_counts(p, mu, n, seed)}
@@ -374,7 +414,7 @@ def test_draw_orders_agree_in_distribution(channel):
     for seed in range(200):
         for k, draw in orders.items():
             pooled[k][1:] += draw(seed)
-    for other in ("binomial", "poisson", "every"):
+    for other in ("positions", "binomial", "poisson", "every"):
         # detections / pulses, sifted / detections, then errors / sifted
         for num, den in ((1, 0), (2, 1), (3, 2)):
             (a, n_a), (b, n_b) = ((pooled[k][num], pooled[k][den]) for k in ("session", other))
@@ -410,9 +450,9 @@ class TestPhotonTable:
         assert montecarlo._photon_cdf(0.0).tolist() == [1.0]
         assert montecarlo._photon_cdf(montecarlo._INVERSION_MU_MAX) is not None
         assert montecarlo._photon_cdf(np.nextafter(montecarlo._INVERSION_MU_MAX, np.inf)) is None
-        lit, photons = montecarlo._photons(np.random.default_rng(0), np.empty(BLOCK_SIZE), 0.0,
-                                           montecarlo._guide(montecarlo._photon_cdf(0.0)))
-        assert lit.size == photons.size == 0
+        photons = montecarlo._photons(np.random.default_rng(0), np.empty(BLOCK_SIZE), 0.0,
+                                      montecarlo._table(montecarlo._photon_cdf(0.0), 0.5))
+        assert photons.size == 0
 
     @pytest.mark.parametrize("mu", [1e-3, 0.5, montecarlo._INVERSION_MU_MAX,
                                     np.nextafter(montecarlo._INVERSION_MU_MAX, np.inf)])
@@ -420,15 +460,15 @@ class TestPhotonTable:
         """Photon numbers pooled over 64 blocks fit Poisson(mu): bins with fewer than 20
         expected counts are merged, and the chi-square statistic stays below its mean plus
         6 standard deviations (the normal approximation's one-sided 1e-9 point)."""
-        table = montecarlo._guide(montecarlo._photon_cdf(mu))
+        table = montecarlo._table(montecarlo._photon_cdf(mu), 0.5)
         u = np.empty(BLOCK_SIZE)
         hist = np.zeros(1, dtype=np.int64)
         for b in range(64):
             rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(b,)))
-            lit, photons = montecarlo._photons(rng, u, mu, table)
-            assert np.all(photons >= 1) and np.all(np.diff(lit) > 0)
+            photons = montecarlo._photons(rng, u, mu, table)
+            assert np.all(photons >= 1)
             h = np.bincount(photons, minlength=hist.size)
-            h[0] = BLOCK_SIZE - lit.size
+            h[0] = BLOCK_SIZE - photons.size
             hist = np.pad(hist, (0, h.size - hist.size)) + h
         n = 64 * BLOCK_SIZE
         exact = [float(c) for c in poisson_cdf(mu, hist.size)]
@@ -448,7 +488,7 @@ class TestPhotonTable:
 
 
 def edge_uniforms(cdf):
-    """Uniforms where a guide lookup could go wrong: every entry of ``cdf`` and its
+    """Values where a guide lookup could go wrong: every entry of ``cdf`` and its
     neighbours, every guide cell's start and the double below it, 0 and 1 - 2**-53."""
     starts = np.arange(montecarlo._CELLS) / montecarlo._CELLS
     u = np.concatenate([cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf),
@@ -456,45 +496,68 @@ def edge_uniforms(cdf):
     return u[(u >= 0) & (u < 1)]
 
 
-def assert_photons_match_search(cdf, u, lit, photons):
-    expected = np.searchsorted(cdf, u, side="right")
-    assert np.array_equal(lit, np.flatnonzero(expected))
-    assert np.array_equal(photons, expected[lit])
+def lit_uniforms(cdf):
+    """Uniforms v whose w = P(N=0) + (1 - P(N=0)) v lands on or next to each of
+    ``edge_uniforms`` at or above P(N=0): the v that maps there and the two doubles either
+    side of it, then 0 and 1 - 2**-53, the extremes of ``rng.random``."""
+    w = edge_uniforms(cdf)
+    v = (w[w >= cdf[0]] - cdf[0]) / (1 - cdf[0]) if cdf[0] < 1 else np.zeros(0)
+    for _ in range(2):
+        v = np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+    return np.unique(np.concatenate([v[(v >= 0) & (v < 1)], [0.0, 1 - 2.0**-53]]))
+
+
+def lit_photons(cdf, mu, v):
+    """(w, _photons' photon numbers) for the lit pulses' uniforms ``v``, every pulse lit."""
+    photons = montecarlo._photons(FixedUniforms(v), np.empty(v.size), mu,
+                                  montecarlo._table(cdf, 0.5))
+    return cdf[0] + (1 - cdf[0]) * v, photons
 
 
 INDEXED_MUS = [0.0, 1e-300, 1e-9, 0.01, 0.5, 3.0, 20.0, 49.9, 50.0]
 
 
 class TestIndexedSearch:
-    """_photons' guide lookup gives exactly np.searchsorted(cdf, u, side="right")."""
+    """_photons' guide lookup of w gives exactly np.searchsorted(cdf, w, side="right")."""
 
     @pytest.mark.parametrize("mu", INDEXED_MUS)
     def test_edge_uniforms(self, mu):
         cdf = montecarlo._photon_cdf(mu)
-        u = edge_uniforms(cdf)
-        lit, photons = montecarlo._photons(FixedUniforms(u), np.empty(u.size), mu,
-                                           montecarlo._guide(cdf))
-        assert_photons_match_search(cdf, u, lit, photons)
+        w, photons = lit_photons(cdf, mu, lit_uniforms(cdf))
+        assert np.array_equal(photons, np.searchsorted(cdf, w, side="right"))
+        assert np.all(photons >= 1)
+        # v = 0 gives w = P(N=0), one photon; v = 1 - 2**-53 gives K photons, and at mu <= 0.5
+        # its w rounds to 1.0 and reads the guide's extra cell
+        assert w[0] == cdf[0] and photons[0] == 1 and photons[-1] == cdf.size
+        assert (w[-1] == 1.0) == (mu <= 0.5)
+        assert montecarlo._table(cdf, 0.5)[0].size == montecarlo._CELLS + 1
+        # each edge at or above P(N=0) is hit exactly, or sits between the w of two adjacent
+        # doubles v, so that no uniform maps onto it (w is nondecreasing in v)
+        v = lit_uniforms(cdf)
+        edges = edge_uniforms(cdf)
+        edges = edges[edges >= cdf[0]]
+        i = np.searchsorted(w, edges)
+        missed = w[np.minimum(i, w.size - 1)] != edges
+        assert np.all(v[i[missed]] == np.nextafter(v[i[missed] - 1], np.inf)), mu
 
     def test_entries_on_cell_boundaries(self):
         # a table whose entries sit at cell starts and one double either side of them
         starts = np.arange(1, montecarlo._CELLS) / montecarlo._CELLS
         cdf = np.sort(np.concatenate([starts, np.nextafter(starts, -np.inf),
                                       np.nextafter(starts, np.inf)]))
-        u = edge_uniforms(cdf)
-        lit, photons = montecarlo._photons(FixedUniforms(u), np.empty(u.size), 1.0,
-                                           montecarlo._guide(cdf))
-        assert_photons_match_search(cdf, u, lit, photons)
+        w, photons = lit_photons(cdf, 1.0, lit_uniforms(cdf))
+        assert np.array_equal(photons, np.searchsorted(cdf, w, side="right"))
 
     @pytest.mark.parametrize("mu", INDEXED_MUS)
     def test_seeded_blocks(self, mu):
         cdf = montecarlo._photon_cdf(mu)
-        table = montecarlo._guide(cdf)
+        table = montecarlo._table(cdf, 0.5)
         buffer = np.empty(BLOCK_SIZE)
         for b in range(4):
-            lit, photons = montecarlo._photons(montecarlo._block_rng(3, b), buffer, mu, table)
-            u = montecarlo._block_rng(3, b).random(BLOCK_SIZE)
-            assert_photons_match_search(cdf, u, lit, photons)
+            photons = montecarlo._photons(montecarlo._block_rng(3, b), buffer, mu, table)
+            rng = montecarlo._block_rng(3, b)
+            w = cdf[0] + (1 - cdf[0]) * rng.random(rng.binomial(BLOCK_SIZE, 1 - cdf[0]))
+            assert np.array_equal(photons, np.searchsorted(cdf, w, side="right"))
 
 
 def sift_row_counts(seed, signal, dark, size, e_det):
@@ -517,6 +580,8 @@ class TestSift:
                                            "half the dark positions", "every pulse"])
     @pytest.mark.parametrize("n_dark", [0, 1, 300])
     def test_double_clicks_count_once(self, signal_on, n_dark):
+        """_sift of the signal and dark-only click counts of drawn positions gives the
+        counts of the block's bool rows, each double click counted once."""
         rng = np.random.default_rng([n_dark, 1])
         dark = rng.choice(BLOCK_SIZE, n_dark, replace=False, shuffle=False)
         others = np.setdiff1d(np.arange(0, BLOCK_SIZE, 5), dark)
@@ -525,7 +590,8 @@ class TestSift:
                   "no dark position": others,
                   "half the dark positions": np.union1d(dark[::2], others),
                   "every pulse": np.arange(BLOCK_SIZE)}[signal_on]
-        got = montecarlo._sift(np.random.default_rng(9), signal, dark, 0.01)
+        dark_only = np.setdiff1d(dark, signal).size
+        got = montecarlo._sift(np.random.default_rng(9), signal.size, dark_only, 0.01)
         assert got == sift_row_counts(9, signal, dark, BLOCK_SIZE, 0.01)
         assert got[0] == np.union1d(signal, dark).size
 
@@ -534,26 +600,29 @@ class TestDarkCounts:
     @pytest.mark.parametrize("size", [1, 7, BLOCK_SIZE])
     @pytest.mark.parametrize("y0", [0.0, 3e-7, 0.5, 1.0])
     def test_positions_distinct_and_in_range(self, y0, size):
+        """The dark-only clicks fall on distinct pulses without a signal click: between 0
+        and size - signal of them, none at y0 = 0 and all of those pulses at y0 = 1."""
         rng = np.random.default_rng(5)
         for _ in range(20):
-            dark = montecarlo._dark(rng, size, y0)
-            assert np.unique(dark).size == dark.size
-            assert np.all((0 <= dark) & (dark < size))
+            signal = int(rng.integers(0, size + 1))
+            dark_only = montecarlo._dark_only(rng, size, y0, signal)
+            assert 0 <= dark_only <= size - signal
             if y0 == 0.0:
-                assert dark.size == 0
+                assert dark_only == 0
             if y0 == 1.0:
-                assert dark.size == size
+                assert dark_only == size - signal
 
     @pytest.mark.parametrize("y0,blocks", [(3e-7, 3000), (0.5, 20)])
     def test_indicators_are_bernoulli(self, y0, blocks):
-        """Pooled over blocks, each of 8 position bins holds y0 of its pulses within 4 SE,
-        and so does the total."""
+        """A block's dark-only clicks are Bernoulli(y0) on each pulse without a signal
+        click: pooled over blocks, at each of 8 signal counts from 0 to 7/8 of the block, they
+        are y0 of the other pulses within 4 SE, and so is their total."""
         rng = np.random.default_rng(8)
+        signal = np.arange(8) * BLOCK_SIZE // 8
         hits = np.zeros(8, dtype=np.int64)
         for _ in range(blocks):
-            hits += np.bincount(montecarlo._dark(rng, BLOCK_SIZE, y0) * 8 // BLOCK_SIZE,
-                                minlength=8)
-        for k, n in ((hits, blocks * BLOCK_SIZE // 8), (hits.sum(), blocks * BLOCK_SIZE)):
+            hits += [montecarlo._dark_only(rng, BLOCK_SIZE, y0, int(s)) for s in signal]
+        for k, n in ((hits, blocks * (BLOCK_SIZE - signal)), (hits.sum(), blocks * (8 * BLOCK_SIZE - signal.sum()))):
             se = np.sqrt(n * y0 * (1 - y0))
             assert np.all(np.abs(k - n * y0) <= 4 * se), (y0, k, n * y0, se)
 
@@ -574,7 +643,7 @@ def click_chance(n, eta):
 
 class FixedUniforms:
     """A generator stand-in whose uniforms are ``v``: one value for every draw, or one per
-    element of the drawn array."""
+    element of the drawn array; every pulse of its blocks has photons."""
 
     def __init__(self, v):
         self.v = v
@@ -583,6 +652,9 @@ class FixedUniforms:
         out = np.empty(size) if out is None else out
         out[...] = self.v
         return out
+
+    def binomial(self, n, p):
+        return n
 
 
 SIGNAL_PHOTONS = [1, 2, 7, 150]
@@ -596,10 +668,9 @@ class TestSignalClicks:
         """Pooled over 16 blocks of n-photon pulses, the click fraction is within 4 SE
         of 1 - (1 - eta)**n (exactly 0 or 1 where that is its value)."""
         rng = np.random.default_rng([n, SIGNAL_ETAS.index(eta)])
-        lit = np.arange(BLOCK_SIZE)
         photons = np.full(BLOCK_SIZE, n)
         u = np.empty(BLOCK_SIZE)
-        clicks = sum(montecarlo._signal(rng, u, lit, photons, eta).size for _ in range(16))
+        clicks = sum(montecarlo._signal(rng, u, photons, None, eta) for _ in range(16))
         total = 16 * BLOCK_SIZE
         chance = float(click_chance(n, eta))
         assert abs(clicks / total - chance) <= 4 * np.sqrt(chance * (1 - chance) / total), (
@@ -608,27 +679,44 @@ class TestSignalClicks:
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     def test_no_or_every_lit_pulse_clicks(self, eta):
         rng = np.random.default_rng(4)
-        lit = np.arange(0, BLOCK_SIZE, 3)
-        photons = rng.integers(1, 200, lit.size)
+        photons = rng.integers(1, 200, BLOCK_SIZE // 3)
         with np.errstate(all="raise"):
-            signal = montecarlo._signal(rng, np.empty(BLOCK_SIZE), lit, photons, eta)
-        expected = lit if eta == 1.0 else lit[:0]
-        assert np.array_equal(signal, expected)
+            signal = montecarlo._signal(rng, np.empty(BLOCK_SIZE), photons, None, eta)
+        assert signal == (photons.size if eta == 1.0 else 0)
 
     @pytest.mark.parametrize("eta", SIGNAL_ETAS)
     @pytest.mark.parametrize("n", SIGNAL_PHOTONS)
     def test_threshold_within_1e15_of_exact(self, n, eta):
         """A uniform 1e-15 (relative) below the exact chance clicks and one 1e-15 above
-        it does not, so the row's threshold -expm1(n log1p(-eta)) is that close to it."""
+        it does not, so the threshold -expm1(n log1p(-eta)) is that close to it."""
         chance = click_chance(n, eta)
         with mpmath.workdps(50):
             below, above = (float(chance * (1 + d)) for d in (-mpmath.mpf("1e-15"), mpmath.mpf("1e-15")))
-        lit, photons = np.array([0]), np.array([n])
+        photons = np.array([n])
         with np.errstate(all="raise"):
-            clicked_below = montecarlo._signal(FixedUniforms(below), np.empty(1), lit, photons, eta).size
-            clicked_above = montecarlo._signal(FixedUniforms(above), np.empty(1), lit, photons, eta).size
+            clicked_below = montecarlo._signal(FixedUniforms(below), np.empty(1), photons, None, eta)
+            clicked_above = montecarlo._signal(FixedUniforms(above), np.empty(1), photons, None, eta)
         assert clicked_below or chance == 0
         assert not clicked_above or chance == 1
+
+
+class TestClickTable:
+    @pytest.mark.parametrize("eta", [0.0, 1e-3, 0.5, 1.0])
+    @pytest.mark.parametrize("mu", [1e-9, 0.5, montecarlo._INVERSION_MU_MAX])
+    def test_equals_expm1_bit_for_bit(self, mu, eta):
+        """The session's chance[n] is -expm1(n log1p(-eta)) bit for bit for n = 1 .. K, as
+        the rng.poisson path computes it per pulse, and 0 at n = 0; building it warns of
+        nothing, also at eta = 1, where log1p(-eta) is -inf."""
+        cdf = montecarlo._photon_cdf(mu)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            chance = montecarlo._table(cdf, eta)[2]
+        n = np.arange(1, cdf.size + 1)
+        with np.errstate(divide="ignore"):
+            expected = -np.expm1(n * np.log1p(-eta))
+        assert chance.size == cdf.size + 1 and chance[0] == 0.0
+        assert chance[1:].tobytes() == expected.tobytes()
+        assert chance[1:].tobytes() == montecarlo._click_chance(n, eta).tobytes()
 
 
 class TestOnePulseBlock:
@@ -641,7 +729,7 @@ class TestOnePulseBlock:
             assert counts(s) == serial_counts(p, mu, BLOCK_SIZE + 1, seed)
             rng = np.random.default_rng(seed)
             last = montecarlo._block_counts(rng, np.empty(1), mu,
-                                            montecarlo._guide(montecarlo._photon_cdf(mu)),
+                                            montecarlo._table(montecarlo._photon_cdf(mu), transmittance(p)),
                                             transmittance(p), background_yield(p), p.e_det)
             assert 0 <= last[2] <= last[1] <= last[0] <= 1
             assert last[0] == 1 or background_yield(p) < 1.0

@@ -13,8 +13,9 @@ PGMs.  The sweep, keyrate (optimized) and optimize hashes were re-recorded when
 the optimizer's zoom rounds gave way to interpolation, after each moved K was
 checked to be at least the best K of a 200 001-point mu row, and each mu to
 lie within half a step of that row's best; every cutoff stayed the same.  The
-Monte Carlo hash was last re-recorded when a signal click became one uniform
-per pulse with photons against 1 - (1 - eta)^n, after the pinned session was
+Monte Carlo hash was last re-recorded when a block began to draw only its
+pulses with photons (a binomial lit count, click chances from a per-session
+table, double clicks by one hypergeometric draw), after the pinned session was
 checked to pass ``--check``.  The 24 aberrated Stokes CSV and JSON hashes were
 re-recorded when ``uwqkd tomography`` stopped building the Zernike screen, a
 phase common to H and V that cancels in every analyzer intensity, after each
