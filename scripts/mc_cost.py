@@ -39,15 +39,14 @@ from uwqkd.channel import ChannelParams, background_yield, transmittance  # noqa
 STAGES = ("lit photon numbers", "signal clicks", "dark/double clicks", "sift/outcome", "whole block")
 
 
-def block_stages(seed: int, block: int, u: np.ndarray, mu: float, table, eta: float, y0: float,
-                 e_det: float) -> list[float]:
+def block_stages(seed: int, block: int, u: np.ndarray, table, y0: float, e_det: float) -> list[float]:
     """Seconds spent in each of ``STAGES`` on one full block drawn in the buffer ``u``; the
     whole block is ``_block_counts`` on a second generator of the same stream."""
     rng = montecarlo._block_rng(seed, block)
     t0 = time.perf_counter()
-    photons = montecarlo._photons(rng, u, mu, table)
+    photons = montecarlo._photons(rng, u, table)
     t1 = time.perf_counter()
-    signal = montecarlo._signal(rng, u, photons, table, eta)
+    signal = montecarlo._signal(rng, u, photons, table[2])
     t2 = time.perf_counter()
     dark_only = montecarlo._dark_only(rng, u.size, y0, signal)
     t3 = time.perf_counter()
@@ -55,7 +54,7 @@ def block_stages(seed: int, block: int, u: np.ndarray, mu: float, table, eta: fl
     t4 = time.perf_counter()
     rng = montecarlo._block_rng(seed, block)
     t5 = time.perf_counter()
-    montecarlo._block_counts(rng, u, mu, table, eta, y0, e_det)
+    montecarlo._block_counts(rng, u, table, y0, e_det)
     t6 = time.perf_counter()
     return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t6 - t5]
 
@@ -84,9 +83,8 @@ def main(argv=None):
     stages = {length: [[] for _ in STAGES] for length in channels}
     for b in range(args.blocks):
         for length, p in channels.items():
-            for out, s in zip(stages[length], block_stages(1, b, u, args.mu, tables[length],
-                                                             transmittance(p), background_yield(p),
-                                                             p.e_det)):
+            for out, s in zip(stages[length], block_stages(1, b, u, tables[length],
+                                                             background_yield(p), p.e_det)):
                 out.append(s / montecarlo.BLOCK_SIZE * 1e9)
     sessions = {length: [] for length in channels}
     for r in range(args.repeats):

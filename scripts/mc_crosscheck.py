@@ -6,11 +6,10 @@ and QBER against the Poisson-photon-number model, in units of standard errors.
 """
 
 import argparse
-import math
 import sys
 
 from uwqkd.channel import ChannelParams, gain_stats
-from uwqkd.montecarlo import simulate_session, within_model_band
+from uwqkd.montecarlo import _MU_MAX, simulate_session, within_model_band
 
 
 def main(argv=None):
@@ -20,8 +19,8 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--e-det", type=float, default=0.0027)
     args = ap.parse_args(argv)
-    if not 0 < args.mu < math.inf:
-        ap.error(f"--mu must be finite and > 0, got {args.mu}")
+    if not 0 < args.mu <= _MU_MAX:
+        ap.error(f"--mu must be > 0 and <= {_MU_MAX:g}, got {args.mu}")
     if args.n_pulses < 1:
         ap.error(f"--n-pulses must be >= 1, got {args.n_pulses}")
 

@@ -11,29 +11,27 @@ A block draws only its pulses with photons and keeps no pulse positions; both
 substitutions sample the same process exactly (Devroye 1986, ch. X-XI).  The
 lit count is Binomial(block size, 1 - P(N=0)), and each lit pulse's uniform v
 gives w = P(N=0) + (1 - P(N=0)) v, inverted against a Poisson CDF table built
-once per session by indexed search (Chen & Asau 1974): a guide table over 2**12
-equal cells answers all but the w whose cell also holds an entry at or below
-them.  The table stops at the first photon number K whose tail P(N > K) is
-below 2**-53, the spacing of the uniforms, and that tail is folded into K.  A
-second uniform per lit pulse, against the session's table of 1 - (1-eta)^n for
-n = 1 .. K, gives the S signal clicks.  The D dark counts are Binomial(block
-size, Y0) at distinct, uniformly placed pulses, so Hypergeometric(S, size - S,
-D) of them are double clicks.  Bases and outcomes are drawn for the clicks
-only.  Above mu = 50 (``_INVERSION_MU_MAX``) the photon numbers come from
-``rng.poisson`` and their click chances from ``expm1``.
+once per session, outward from the mode, by indexed search (Chen & Asau 1974): a
+guide table over 2**12 equal cells answers all but the w whose cell also holds
+an entry at or below them.  The table stops at the first photon number K whose
+tail P(N > K) is below 2**-53, the spacing of the uniforms, and that tail is
+folded into K.  A second uniform per lit pulse, against the session's table of
+1 - (1-eta)^n for n = 1 .. K, gives the S signal clicks.  The D dark counts are
+Binomial(block size, Y0) at distinct, uniformly placed pulses, so
+Hypergeometric(S, size - S, D) of them are double clicks.  Bases and outcomes
+are drawn for the clicks only.
 
 Pulses are simulated in blocks of 2**16, each block drawing from its own stream
 derived from the master seed.  The blocks run on min(usable CPUs, 4, number of
 blocks) threads, the calling thread included, each drawing its blocks' uniforms
 into one buffer; a block's arrays hold its lit pulses (~39 % of it at mu = 0.5)
-or fewer, ``rng.poisson``'s row aside.  numpy releases the interpreter lock
-inside its array calls (the uniform draws, the table lookups and comparisons)
-but not between them; the counts and double clicks are scalar draws, and the
-sift sees a few thousand clicks or fewer on the flume's channels, so their cost
-is mostly call overhead under the lock.  Each thread takes the next block and
-makes its generator under one lock, so it holds one generator at a time.  The
-blocks' integer counts are summed exactly, so results do not depend on the
-number of threads.
+or fewer.  numpy releases the interpreter lock inside its array calls (the
+uniform draws, the table lookups and comparisons) but not between them; the
+counts and double clicks are scalar draws, and the sift sees a few thousand
+clicks or fewer on the flume's channels, so their cost is mostly call overhead
+under the lock.  Each thread takes the next block and makes its generator under
+one lock, so it holds one generator at a time.  The blocks' integer counts are
+summed exactly, so results do not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -50,11 +48,7 @@ from .channel import ChannelParams, _gain_qber, _is_int, background_yield, trans
 BLOCK_SIZE = 2**16
 _MAX_THREADS = 4
 _BAND_SE = 4.0  # half-width of within_model_band's band, in standard errors
-_MU_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)  # numpy's Poisson limit
-# Largest mu whose photon numbers are drawn by inversion, by rng.poisson above it.  Inversion
-# costs less at each mu timed (2-core x86-64, numpy 2.4, ns per pulse of a 2**16-pulse row; 20:
-# 18-20 against 62-68; 50: 17-19 against 50-54; 100: 18 against 46-48), so the fork could go.
-_INVERSION_MU_MAX = 50.0
+_MU_MAX = 1e4  # largest mu simulated; its photon table has K = 10832 entries
 _CELLS = 2**12  # cells of _photons' guide table; a power of two, so w * _CELLS is exact
 
 
@@ -81,20 +75,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _photon_cdf(mu: float) -> np.ndarray | None:
-    """Inversion table of Poisson(mu): P(N <= k) for k = 0 .. K-1, or None above
-    ``_INVERSION_MU_MAX``.
+def _photon_cdf(mu: float) -> np.ndarray:
+    """Inversion table of Poisson(mu): P(N <= k) for k = 0 .. K-1.
 
     K is the first k with P(N > k) below 2**-53, the spacing of ``rng.random``'s
     uniforms, and at least 1.  K is the largest photon number the table gives:
     the mass above it, below 2**-53, is folded into K.
     """
-    if mu > _INVERSION_MU_MAX:
-        return None
     k = np.arange(1.0, int(mu + 40 * math.sqrt(mu) + 40))  # the tail beyond is far below 2**-53
-    # P(N = k) = P(N = k-1) mu / k rounds about once a step; exp(k log mu - lgamma(k + 1))
-    # would lose ~k log(mu) ulps to cancellation
-    pmf = math.exp(-mu) * np.cumprod(np.concatenate(([1.0], mu / k)))
+    # P(N = k) / P(N = mode), from 1 at the mode floor(mu) by P(k) = P(k-1) mu / k both ways, so
+    # nothing starts from exp(-mu), which underflows near mu = 745; each step rounds about once,
+    # where exp(k log mu - lgamma(k + 1)) would lose ~k log(mu) ulps to cancellation
+    mode = int(mu)
+    pmf = np.concatenate((np.cumprod(k[:mode][::-1] / mu)[::-1],  # P(k-1) = P(k) k / mu below it
+                          np.cumprod(np.append(1.0, mu / k[mode:]))))
+    pmf /= pmf.sum()
     below = np.cumsum(pmf)  # P(N <= k), summed from the head
     above = np.cumsum(pmf[::-1])[::-1][1:]  # P(N > k), summed from the far tail
     n = max(1, int(np.argmax(above < 2.0**-53)))
@@ -102,31 +97,23 @@ def _photon_cdf(mu: float) -> np.ndarray | None:
     return np.where(below[:n] < 0.5, below[:n], 1.0 - above[:n])
 
 
-def _click_chance(photons: np.ndarray, eta: float) -> np.ndarray:
-    """1 - (1 - eta)**n, as -expm1(n log1p(-eta)), for each photon number n >= 1 of ``photons``."""
-    return -np.expm1(photons * (math.log1p(-eta) if eta < 1 else -math.inf))  # log1p(-1) raises
+def _table(cdf: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A session's block table of ``cdf``: guide[j], the number of entries <= j / ``_CELLS``
+    for j = 0 .. ``_CELLS`` (the last for a w that rounds to 1.0), ``cdf`` with +inf appended,
+    and chance[n] = 1 - (1 - eta)**n, as -expm1(n log1p(-eta)), for n = 1 .. K, with chance[0] = 0."""
+    log_miss = math.log1p(-eta) if eta < 1 else -math.inf  # log1p(-1) raises
+    return (np.searchsorted(cdf, np.arange(_CELLS + 1) / _CELLS, side="right"), np.append(cdf, np.inf),
+            np.append(0.0, -np.expm1(np.arange(1, cdf.size + 1) * log_miss)))  # never 0 * log1p(-1)
 
 
-def _table(cdf: np.ndarray | None, eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """A session's block table of ``cdf`` (None for None): guide[j], the number of entries
-    <= j / ``_CELLS`` for j = 0 .. ``_CELLS`` (the last for a w that rounds to 1.0), ``cdf``
-    with +inf appended, and chance[n] = ``_click_chance`` of n for n = 1 .. K, with chance[0] = 0."""
-    return None if cdf is None else (
-        np.searchsorted(cdf, np.arange(_CELLS + 1) / _CELLS, side="right"), np.append(cdf, np.inf),
-        np.append(0.0, _click_chance(np.arange(1, cdf.size + 1), eta)))  # never 0 * log1p(-1)
-
-
-def _photons(rng: np.random.Generator, u: np.ndarray, mu: float, table: tuple | None) -> np.ndarray:
+def _photons(rng: np.random.Generator, u: np.ndarray, table: tuple) -> np.ndarray:
     """Photon numbers of the pulses with photons in a block of u.size, in no given order.
 
     Their number is Binomial(u.size, 1 - P(N=0)).  Each draws a uniform v into ``u``, and
     its photon number is the count of CDF entries <= w = P(N=0) + (1 - P(N=0)) v:
     guide[floor(w * _CELLS)] counts those <= the start of w's cell, and only w with the next
-    entry <= w too are searched.  Without a table, ``rng.poisson`` draws one per pulse.
+    entry <= w too are searched.
     """
-    if table is None:
-        photons = rng.poisson(mu, u.size)
-        return photons[photons > 0]
     guide, padded, _ = table
     w = rng.random(out=u[:rng.binomial(u.size, 1 - padded[0])])
     w *= 1 - padded[0]
@@ -137,12 +124,10 @@ def _photons(rng: np.random.Generator, u: np.ndarray, mu: float, table: tuple | 
     return photons
 
 
-def _signal(rng: np.random.Generator, u: np.ndarray, photons: np.ndarray, table: tuple | None,
-            eta: float) -> int:
-    """Signal clicks among a block's lit pulses: a uniform each, in ``u``, below the chance of its
-    n photons, chance[n] of ``table`` or, without one, ``_click_chance``."""
-    chance = _click_chance(photons, eta) if table is None else table[2][photons]
-    return int(np.count_nonzero(rng.random(out=u[:photons.size]) < chance))
+def _signal(rng: np.random.Generator, u: np.ndarray, photons: np.ndarray, chance: np.ndarray) -> int:
+    """Signal clicks among a block's lit pulses: a uniform each, in ``u``, below chance[n] of its
+    n photons."""
+    return int(np.count_nonzero(rng.random(out=u[:photons.size]) < chance[photons]))
 
 
 def _dark_only(rng: np.random.Generator, size: int, y0: float, signal: int) -> int:
@@ -165,17 +150,17 @@ def _sift(rng: np.random.Generator, signal: int, dark_only: int, e_det: float) -
     return clicks, int(np.count_nonzero(sift)), int(np.count_nonzero(sift & wrong))
 
 
-def _block_counts(rng: np.random.Generator, u: np.ndarray, mu: float, table: tuple | None,
-                  eta: float, y0: float, e_det: float) -> tuple[int, int, int]:
+def _block_counts(rng: np.random.Generator, u: np.ndarray, table: tuple, y0: float,
+                  e_det: float) -> tuple[int, int, int]:
     """(detections, sifted, errors) of one block of u.size pulses, drawn in ``u``.
 
-    Draw order: the lit count and a uniform per lit pulse (``_photons``; ``rng.poisson``'s
-    row where ``table`` is None), a click uniform per lit pulse (``_signal``), the dark count
-    and, unless it or the signal clicks are 0, the double clicks (``_dark_only``), then bases
-    and outcome flips for the clicks, the signal clicks first (``_sift``).
+    Draw order: the lit count and a uniform per lit pulse (``_photons``), a click uniform per
+    lit pulse (``_signal``), the dark count and, unless it or the signal clicks are 0, the
+    double clicks (``_dark_only``), then bases and outcome flips for the clicks, the signal
+    clicks first (``_sift``).
     """
-    photons = _photons(rng, u, mu, table)
-    signal = _signal(rng, u, photons, table, eta)
+    photons = _photons(rng, u, table)
+    signal = _signal(rng, u, photons, table[2])
     return _sift(rng, signal, _dark_only(rng, u.size, y0, signal), e_det)
 
 
@@ -211,7 +196,7 @@ def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> S
                         return
                     rng = _block_rng(seed, b)
                 size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
-                block_counts[b] = _block_counts(rng, u[:size], mu, table, eta, y0, p.e_det)
+                block_counts[b] = _block_counts(rng, u[:size], table, y0, p.e_det)
                 del rng
         except BaseException as exc:
             failures.append(exc)

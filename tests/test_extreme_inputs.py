@@ -143,8 +143,8 @@ def test_config_is_rejected_or_gives_a_finite_optimum(d):
     finite_or_rejected(lambda: optimize_mu_nu(cfg.channel, cfg.optimizer))
 
 
-def test_monte_carlo_mu_beyond_poisson_limit_names_mu(capsys):
-    # numpy's Poisson refuses means above ~9.2e18 with a message that names no field
+def test_monte_carlo_mu_beyond_bound_names_mu(capsys):
+    # the photon table serves mu up to _MU_MAX = 1e4; above it the message names the field
     s = simulate_session(ChannelParams(), _MU_MAX, 10, 0)
     assert s.detections == 10
     with pytest.raises(ValueError, match="^mu must be"):

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import warnings
@@ -110,11 +111,10 @@ def serial_counts(p, mu, n_pulses, seed):
     """(detections, sifted, errors) from a one-thread per-block loop in simulate_session's
     draw order, kept as its oracle: the number of pulses with photons, Binomial(size,
     1 - P(N=0)), and their photon numbers by inversion of w = P(N=0) + (1 - P(N=0)) v for one
-    uniform v each (rng.poisson's row, its zeros dropped, above the inversion threshold), one
-    uniform per pulse with photons against its click chance 1 - (1 - eta)**n, the dark count,
-    the double clicks among them by a hypergeometric draw (only when both counts are
-    nonzero), then bases and outcome flips for the signal clicks and then the dark-only
-    clicks."""
+    uniform v each, one uniform per pulse with photons against its click chance
+    1 - (1 - eta)**n, the dark count, the double clicks among them by a hypergeometric draw
+    (only when both counts are nonzero), then bases and outcome flips for the signal clicks
+    and then the dark-only clicks."""
     eta = transmittance(p)
     y0 = background_yield(p)
     cdf = montecarlo._photon_cdf(mu)
@@ -123,12 +123,8 @@ def serial_counts(p, mu, n_pulses, seed):
     for b in range(n_blocks):
         size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        if cdf is None:
-            n_phot = rng.poisson(mu, size)
-            n_phot = n_phot[n_phot > 0]
-        else:
-            n_lit = rng.binomial(size, 1 - cdf[0])
-            n_phot = np.searchsorted(cdf, cdf[0] + (1 - cdf[0]) * rng.random(n_lit), side="right")
+        n_lit = rng.binomial(size, 1 - cdf[0])
+        n_phot = np.searchsorted(cdf, cdf[0] + (1 - cdf[0]) * rng.random(n_lit), side="right")
         n_signal = int((rng.random(n_phot.size) < 1 - (1 - eta) ** n_phot).sum())
         n_dark = int(rng.binomial(size, y0))
         both = int(rng.hypergeometric(n_signal, size - n_signal, n_dark)) if n_signal and n_dark else 0
@@ -170,10 +166,7 @@ def _inversion_order_counts(p, mu, n_pulses, seed, signal_clicks):
     for b in range(n_blocks):
         size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        if cdf is None:
-            n_phot = rng.poisson(mu, size)
-        else:
-            n_phot = np.searchsorted(cdf, rng.random(size), side="right")
+        n_phot = np.searchsorted(cdf, rng.random(size), side="right")
         lit = n_phot > 0
         signal = np.zeros(size, dtype=bool)
         signal[lit] = signal_clicks(rng, n_phot[lit], eta)
@@ -251,8 +244,8 @@ ORACLE_CHANNELS = {
     "vacuum": (ChannelParams(), 0.0),
     "lossless": (ChannelParams(alpha_db_per_m=0.0, eta_detector=1, eta_bob=1, e_det=0.02), 0.8),
     "dark_dominated": (ChannelParams(length_m=20.0, dark_rate_hz=9.5e8), 0.3),
-    # above the inversion threshold, so the photon numbers come from rng.poisson
-    "bright": (ChannelParams(e_det=0.01).at_length(60.0), 2 * montecarlo._INVERSION_MU_MAX),
+    # a 193-entry photon table, built both ways from its mode at 100
+    "bright": (ChannelParams(e_det=0.01).at_length(60.0), 100.0),
 }
 
 
@@ -427,12 +420,28 @@ def poisson_cdf(mu, k_max):
     """Exact P(N <= k) of Poisson(mu) for k = 0 .. k_max, at 50 digits."""
     with mpmath.workdps(50):
         m = mpmath.mpf(mu)
-        terms = [mpmath.exp(-m) * m**k / mpmath.factorial(k) for k in range(k_max + 1)]
-        return [mpmath.fsum(terms[: k + 1]) for k in range(k_max + 1)]
+        term = total = mpmath.exp(-m)
+        out = [total]
+        for k in range(1, k_max + 1):
+            term = term * m / k
+            total += term
+            out.append(total)
+        return out
+
+
+def exp_start_cdf(mu):
+    """The Poisson table built upwards from P(N=0) = exp(-mu): _photon_cdf's oracle at small mu."""
+    k = np.arange(1.0, int(mu + 40 * math.sqrt(mu) + 40))
+    pmf = math.exp(-mu) * np.cumprod(np.concatenate(([1.0], mu / k)))
+    below = np.cumsum(pmf)
+    above = np.cumsum(pmf[::-1])[::-1][1:]
+    n = max(1, int(np.argmax(above < 2.0**-53)))
+    return np.where(below[:n] < 0.5, below[:n], 1.0 - above[:n])
 
 
 class TestPhotonTable:
-    @pytest.mark.parametrize("mu", [1e-300, 1e-9, 1e-3, 0.1, 0.5, 1.0, 3.7, 10.0, 20.0, 49.9, 50.0])
+    @pytest.mark.parametrize("mu", [1e-300, 1e-9, 1e-3, 0.1, 0.5, 1.0, 3.7, 10.0, 20.0, 49.9, 50.0,
+                                    100.0, 700.0, 2000.0, montecarlo._MU_MAX])
     def test_matches_exact_poisson(self, mu):
         cdf = montecarlo._photon_cdf(mu)
         exact = poisson_cdf(mu, cdf.size)
@@ -446,16 +455,25 @@ class TestPhotonTable:
         assert np.all(np.diff(cdf) >= 0)
         assert cdf.size == 1 or cdf[-1] <= 1 - 2.0**-53  # the largest uniform reaches K
 
-    def test_vacuum_and_threshold(self):
+    @pytest.mark.parametrize("mu", [0.0, 1e-300, 1e-9, 1e-3, 0.1, 0.5, 1.0])
+    def test_equals_exp_start_bit_for_bit(self, mu):
+        """Started from the mode, the table is the one started from exp(-mu), bit for bit, at
+        these mu (the montecarlo output pin runs 0.5)."""
+        assert montecarlo._photon_cdf(mu).tobytes() == exp_start_cdf(mu).tobytes()
+
+    def test_vacuum_and_bound(self):
         assert montecarlo._photon_cdf(0.0).tolist() == [1.0]
-        assert montecarlo._photon_cdf(montecarlo._INVERSION_MU_MAX) is not None
-        assert montecarlo._photon_cdf(np.nextafter(montecarlo._INVERSION_MU_MAX, np.inf)) is None
-        photons = montecarlo._photons(np.random.default_rng(0), np.empty(BLOCK_SIZE), 0.0,
+        photons = montecarlo._photons(np.random.default_rng(0), np.empty(BLOCK_SIZE),
                                       montecarlo._table(montecarlo._photon_cdf(0.0), 0.5))
         assert photons.size == 0
+        # at the bound, exp(-mu) is 0 in doubles; the table's head underflows to 0 with it, but
+        # nothing is NaN or infinite and the tail rule still ends the table
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            cdf = montecarlo._photon_cdf(montecarlo._MU_MAX)
+        assert math.exp(-montecarlo._MU_MAX) == 0.0 and cdf[0] == 0.0
+        assert np.all(np.isfinite(cdf)) and cdf.size == 10832
 
-    @pytest.mark.parametrize("mu", [1e-3, 0.5, montecarlo._INVERSION_MU_MAX,
-                                    np.nextafter(montecarlo._INVERSION_MU_MAX, np.inf)])
+    @pytest.mark.parametrize("mu", [1e-3, 0.5, 50.0, 100.0, montecarlo._MU_MAX])
     def test_pooled_histogram(self, mu):
         """Photon numbers pooled over 64 blocks fit Poisson(mu): bins with fewer than 20
         expected counts are merged, and the chi-square statistic stays below its mean plus
@@ -465,7 +483,7 @@ class TestPhotonTable:
         hist = np.zeros(1, dtype=np.int64)
         for b in range(64):
             rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(b,)))
-            photons = montecarlo._photons(rng, u, mu, table)
+            photons = montecarlo._photons(rng, u, table)
             assert np.all(photons >= 1)
             h = np.bincount(photons, minlength=hist.size)
             h[0] = BLOCK_SIZE - photons.size
@@ -507,14 +525,13 @@ def lit_uniforms(cdf):
     return np.unique(np.concatenate([v[(v >= 0) & (v < 1)], [0.0, 1 - 2.0**-53]]))
 
 
-def lit_photons(cdf, mu, v):
+def lit_photons(cdf, v):
     """(w, _photons' photon numbers) for the lit pulses' uniforms ``v``, every pulse lit."""
-    photons = montecarlo._photons(FixedUniforms(v), np.empty(v.size), mu,
-                                  montecarlo._table(cdf, 0.5))
+    photons = montecarlo._photons(FixedUniforms(v), np.empty(v.size), montecarlo._table(cdf, 0.5))
     return cdf[0] + (1 - cdf[0]) * v, photons
 
 
-INDEXED_MUS = [0.0, 1e-300, 1e-9, 0.01, 0.5, 3.0, 20.0, 49.9, 50.0]
+INDEXED_MUS = [0.0, 1e-300, 1e-9, 0.01, 0.5, 3.0, 20.0, 49.9, 50.0, 100.0, montecarlo._MU_MAX]
 
 
 class TestIndexedSearch:
@@ -523,12 +540,14 @@ class TestIndexedSearch:
     @pytest.mark.parametrize("mu", INDEXED_MUS)
     def test_edge_uniforms(self, mu):
         cdf = montecarlo._photon_cdf(mu)
-        w, photons = lit_photons(cdf, mu, lit_uniforms(cdf))
+        w, photons = lit_photons(cdf, lit_uniforms(cdf))
         assert np.array_equal(photons, np.searchsorted(cdf, w, side="right"))
         assert np.all(photons >= 1)
-        # v = 0 gives w = P(N=0), one photon; v = 1 - 2**-53 gives K photons, and at mu <= 0.5
-        # its w rounds to 1.0 and reads the guide's extra cell
-        assert w[0] == cdf[0] and photons[0] == 1 and photons[-1] == cdf.size
+        # v = 0 gives w = P(N=0), one photon, or at the bound, where the table's head is 0, the
+        # first photon number past it; v = 1 - 2**-53 gives K photons, and at mu <= 0.5 its w
+        # rounds to 1.0 and reads the guide's extra cell
+        assert w[0] == cdf[0] and photons[0] == (1 if cdf[0] > 0 else np.count_nonzero(cdf == 0))
+        assert photons[-1] == cdf.size
         assert (w[-1] == 1.0) == (mu <= 0.5)
         assert montecarlo._table(cdf, 0.5)[0].size == montecarlo._CELLS + 1
         # each edge at or above P(N=0) is hit exactly, or sits between the w of two adjacent
@@ -545,7 +564,7 @@ class TestIndexedSearch:
         starts = np.arange(1, montecarlo._CELLS) / montecarlo._CELLS
         cdf = np.sort(np.concatenate([starts, np.nextafter(starts, -np.inf),
                                       np.nextafter(starts, np.inf)]))
-        w, photons = lit_photons(cdf, 1.0, lit_uniforms(cdf))
+        w, photons = lit_photons(cdf, lit_uniforms(cdf))
         assert np.array_equal(photons, np.searchsorted(cdf, w, side="right"))
 
     @pytest.mark.parametrize("mu", INDEXED_MUS)
@@ -554,7 +573,7 @@ class TestIndexedSearch:
         table = montecarlo._table(cdf, 0.5)
         buffer = np.empty(BLOCK_SIZE)
         for b in range(4):
-            photons = montecarlo._photons(montecarlo._block_rng(3, b), buffer, mu, table)
+            photons = montecarlo._photons(montecarlo._block_rng(3, b), buffer, table)
             rng = montecarlo._block_rng(3, b)
             w = cdf[0] + (1 - cdf[0]) * rng.random(rng.binomial(BLOCK_SIZE, 1 - cdf[0]))
             assert np.array_equal(photons, np.searchsorted(cdf, w, side="right"))
@@ -629,7 +648,7 @@ class TestDarkCounts:
     def test_every_pulse_clicks_at_unit_yield(self):
         p = ChannelParams(dark_rate_hz=1e9, e_det=0.0)
         assert background_yield(p) == 1.0
-        for mu in (0.0, 0.5, 2 * montecarlo._INVERSION_MU_MAX):
+        for mu in (0.0, 0.5, 100.0):
             s = simulate_session(p, mu, BLOCK_SIZE + 1, 3)
             assert s.detections == s.pulses_sent == BLOCK_SIZE + 1
             assert counts(s) == serial_counts(p, mu, BLOCK_SIZE + 1, 3)
@@ -661,6 +680,11 @@ SIGNAL_PHOTONS = [1, 2, 7, 150]
 SIGNAL_ETAS = [0.0, 1e-12, 0.0076, 0.1056, 0.9, 1.0]
 
 
+def session_chance(eta):
+    """chance[n] of a session's table at mu = 100, whose K = 193 covers SIGNAL_PHOTONS."""
+    return montecarlo._table(montecarlo._photon_cdf(100.0), eta)[2]
+
+
 class TestSignalClicks:
     @pytest.mark.parametrize("eta", SIGNAL_ETAS)
     @pytest.mark.parametrize("n", SIGNAL_PHOTONS)
@@ -670,7 +694,8 @@ class TestSignalClicks:
         rng = np.random.default_rng([n, SIGNAL_ETAS.index(eta)])
         photons = np.full(BLOCK_SIZE, n)
         u = np.empty(BLOCK_SIZE)
-        clicks = sum(montecarlo._signal(rng, u, photons, None, eta) for _ in range(16))
+        chances = session_chance(eta)
+        clicks = sum(montecarlo._signal(rng, u, photons, chances) for _ in range(16))
         total = 16 * BLOCK_SIZE
         chance = float(click_chance(n, eta))
         assert abs(clicks / total - chance) <= 4 * np.sqrt(chance * (1 - chance) / total), (
@@ -679,9 +704,10 @@ class TestSignalClicks:
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     def test_no_or_every_lit_pulse_clicks(self, eta):
         rng = np.random.default_rng(4)
-        photons = rng.integers(1, 200, BLOCK_SIZE // 3)
         with np.errstate(all="raise"):
-            signal = montecarlo._signal(rng, np.empty(BLOCK_SIZE), photons, None, eta)
+            chances = session_chance(eta)
+            photons = rng.integers(1, chances.size, BLOCK_SIZE // 3)  # every n = 1 .. K
+            signal = montecarlo._signal(rng, np.empty(BLOCK_SIZE), photons, chances)
         assert signal == (photons.size if eta == 1.0 else 0)
 
     @pytest.mark.parametrize("eta", SIGNAL_ETAS)
@@ -694,19 +720,19 @@ class TestSignalClicks:
             below, above = (float(chance * (1 + d)) for d in (-mpmath.mpf("1e-15"), mpmath.mpf("1e-15")))
         photons = np.array([n])
         with np.errstate(all="raise"):
-            clicked_below = montecarlo._signal(FixedUniforms(below), np.empty(1), photons, None, eta)
-            clicked_above = montecarlo._signal(FixedUniforms(above), np.empty(1), photons, None, eta)
+            chances = session_chance(eta)
+            clicked_below = montecarlo._signal(FixedUniforms(below), np.empty(1), photons, chances)
+            clicked_above = montecarlo._signal(FixedUniforms(above), np.empty(1), photons, chances)
         assert clicked_below or chance == 0
         assert not clicked_above or chance == 1
 
 
 class TestClickTable:
     @pytest.mark.parametrize("eta", [0.0, 1e-3, 0.5, 1.0])
-    @pytest.mark.parametrize("mu", [1e-9, 0.5, montecarlo._INVERSION_MU_MAX])
+    @pytest.mark.parametrize("mu", [1e-9, 0.5, 50.0])
     def test_equals_expm1_bit_for_bit(self, mu, eta):
-        """The session's chance[n] is -expm1(n log1p(-eta)) bit for bit for n = 1 .. K, as
-        the rng.poisson path computes it per pulse, and 0 at n = 0; building it warns of
-        nothing, also at eta = 1, where log1p(-eta) is -inf."""
+        """The session's chance[n] is -expm1(n log1p(-eta)) bit for bit for n = 1 .. K, and 0
+        at n = 0; building it warns of nothing, also at eta = 1, where log1p(-eta) is -inf."""
         cdf = montecarlo._photon_cdf(mu)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
@@ -716,11 +742,10 @@ class TestClickTable:
             expected = -np.expm1(n * np.log1p(-eta))
         assert chance.size == cdf.size + 1 and chance[0] == 0.0
         assert chance[1:].tobytes() == expected.tobytes()
-        assert chance[1:].tobytes() == montecarlo._click_chance(n, eta).tobytes()
 
 
 class TestOnePulseBlock:
-    @pytest.mark.parametrize("mu", [0.0, 0.5, 2 * montecarlo._INVERSION_MU_MAX])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 100.0])
     @pytest.mark.parametrize("dark_rate_hz", [0.0, 3e6, 1e9])
     def test_last_block_of_one_pulse(self, mu, dark_rate_hz):
         p = ChannelParams(dark_rate_hz=dark_rate_hz, e_det=0.01).at_length(5.0)
@@ -728,9 +753,9 @@ class TestOnePulseBlock:
             s = simulate_session(p, mu, BLOCK_SIZE + 1, seed)
             assert counts(s) == serial_counts(p, mu, BLOCK_SIZE + 1, seed)
             rng = np.random.default_rng(seed)
-            last = montecarlo._block_counts(rng, np.empty(1), mu,
+            last = montecarlo._block_counts(rng, np.empty(1),
                                             montecarlo._table(montecarlo._photon_cdf(mu), transmittance(p)),
-                                            transmittance(p), background_yield(p), p.e_det)
+                                            background_yield(p), p.e_det)
             assert 0 <= last[2] <= last[1] <= last[0] <= 1
             assert last[0] == 1 or background_yield(p) < 1.0
 
@@ -749,6 +774,7 @@ class TestInputValidation:
             ("seed", {"seed": -1}),
             ("seed", {"seed": True}),
             ("seed", {"seed": 1.5}),
+            ("mu", {"mu": float(np.nextafter(montecarlo._MU_MAX, np.inf))}),
         ],
     )
     def test_rejected_before_any_block(self, monkeypatch, field, kwargs):

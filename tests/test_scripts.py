@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("mc_crosscheck.py", ["--n-pulses", "1000", "--mu", "0.001"]),
         ("tomography_cost.py", ["--n", "32"]),
         ("kernel_cost.py", ["--repeats", "3"]),
-        # above the inversion threshold, so the photon numbers come from rng.poisson
+        # a mode above 0, so the photon table is built both ways from it
         ("mc_cost.py", ["--mu", "60", "--blocks", "3", "--repeats", "1", "--n-pulses", "200000"]),
     ],
 )
@@ -35,7 +35,8 @@ def test_script_runs(script, args, tmp_path):
     assert proc.stdout
 
 
-@pytest.mark.parametrize("args", [["--mu", "0"], ["--mu", "-0.5"], ["--mu", "nan"], ["--n-pulses", "0"]])
+@pytest.mark.parametrize("args", [["--mu", "0"], ["--mu", "-0.5"], ["--mu", "nan"], ["--n-pulses", "0"],
+                                  ["--mu", "2e4"]])
 def test_mc_crosscheck_bad_input_is_a_usage_error(args, capsys):
     main = runpy.run_path(str(ROOT / "scripts" / "mc_crosscheck.py"))["main"]
     with pytest.raises(SystemExit) as exc:
