@@ -9,8 +9,8 @@ at ``--mu``:
   click count with its click chances (``_signal``), the dark count with the
   double clicks (``_dark_only``) and sift/outcome (``_sift``), then the whole
   block (``_block_counts``), each over ``--blocks`` blocks of their own seeded
-  streams, all drawn in one reused buffer as each of ``simulate_session``'s
-  workers does;
+  streams, each block allocating arrays for its lit pulses only, as in
+  ``simulate_session``;
 - ``simulate_session`` at ``--n-pulses`` pulses (default 10**7), ``--repeats``
   times.
 
@@ -24,12 +24,11 @@ checkout's ``src/``.
 """
 
 import argparse
+import math
 import statistics
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -39,22 +38,23 @@ from uwqkd.channel import ChannelParams, background_yield, transmittance  # noqa
 STAGES = ("lit photon numbers", "signal clicks", "dark/double clicks", "sift/outcome", "whole block")
 
 
-def block_stages(seed: int, block: int, u: np.ndarray, table, y0: float, e_det: float) -> list[float]:
-    """Seconds spent in each of ``STAGES`` on one full block drawn in the buffer ``u``; the
-    whole block is ``_block_counts`` on a second generator of the same stream."""
+def block_stages(seed: int, block: int, table, y0: float, e_det: float) -> list[float]:
+    """Seconds spent in each of ``STAGES`` on one full block; the whole block is
+    ``_block_counts`` on a second generator of the same stream."""
+    size = montecarlo.BLOCK_SIZE
     rng = montecarlo._block_rng(seed, block)
     t0 = time.perf_counter()
-    photons = montecarlo._photons(rng, u, table)
+    photons = montecarlo._photons(rng, size, table)
     t1 = time.perf_counter()
-    signal = montecarlo._signal(rng, u, photons, table[2])
+    signal = montecarlo._signal(rng, photons, table[2])
     t2 = time.perf_counter()
-    dark_only = montecarlo._dark_only(rng, u.size, y0, signal)
+    dark_only = montecarlo._dark_only(rng, size, y0, signal)
     t3 = time.perf_counter()
     montecarlo._sift(rng, signal, dark_only, e_det)
     t4 = time.perf_counter()
     rng = montecarlo._block_rng(seed, block)
     t5 = time.perf_counter()
-    montecarlo._block_counts(rng, u, table, y0, e_det)
+    montecarlo._block_counts(rng, size, table, y0, e_det)
     t6 = time.perf_counter()
     return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t6 - t5]
 
@@ -72,6 +72,11 @@ def main(argv=None):
     ap.add_argument("--repeats", type=int, default=5, help="timed sessions per length (default 5)")
     ap.add_argument("--n-pulses", type=int, default=10**7, help="pulses per session (default 10**7)")
     args = ap.parse_args(argv)
+    if not 0 <= args.mu <= montecarlo._MU_MAX:
+        ap.error(f"--mu must be >= 0 and <= {montecarlo._MU_MAX:g}, got {args.mu}")
+    for length in args.lengths:
+        if not (math.isfinite(length) and length >= 0):
+            ap.error(f"--lengths must be finite and >= 0, got {length}")
     for name in ("blocks", "repeats", "n_pulses"):
         if getattr(args, name) < 1:
             ap.error(f"--{name.replace('_', '-')} must be >= 1")
@@ -79,12 +84,10 @@ def main(argv=None):
     channels = {length: ChannelParams().at_length(length) for length in args.lengths}
     cdf = montecarlo._photon_cdf(args.mu)
     tables = {length: montecarlo._table(cdf, transmittance(p)) for length, p in channels.items()}
-    u = np.empty(montecarlo.BLOCK_SIZE)
     stages = {length: [[] for _ in STAGES] for length in channels}
     for b in range(args.blocks):
         for length, p in channels.items():
-            for out, s in zip(stages[length], block_stages(1, b, u, tables[length],
-                                                             background_yield(p), p.e_det)):
+            for out, s in zip(stages[length], block_stages(1, b, tables[length], background_yield(p), p.e_det)):
                 out.append(s / montecarlo.BLOCK_SIZE * 1e9)
     sessions = {length: [] for length in channels}
     for r in range(args.repeats):

@@ -320,6 +320,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"uwqkd: error: {exc}", file=sys.stderr)
         return 1
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:  # a bad user path
+        print(f"uwqkd: error: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        return 1
     except Exception as exc:  # runtime failure
         print(f"uwqkd: failure: {exc}", file=sys.stderr)
         return 2

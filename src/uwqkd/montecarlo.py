@@ -23,13 +23,12 @@ are drawn for the clicks only.
 
 Pulses are simulated in blocks of 2**16, each block drawing from its own stream
 derived from the master seed.  The blocks run on min(usable CPUs, 4, number of
-blocks) threads, the calling thread included, each drawing its blocks' uniforms
-into one buffer; a block's arrays hold its lit pulses (~39 % of it at mu = 0.5)
-or fewer.  numpy releases the interpreter lock inside its array calls (the
-uniform draws, the table lookups and comparisons) but not between them; the
-counts and double clicks are scalar draws, and the sift sees a few thousand
-clicks or fewer on the flume's channels, so their cost is mostly call overhead
-under the lock.  Each thread takes the next block and makes its generator under
+blocks) threads, the calling thread included; a block allocates arrays for its
+lit pulses only (~39 % of it at mu = 0.5).  numpy releases the interpreter lock
+inside its array calls (the uniform draws, the table lookups and comparisons)
+but not between them; the counts and double clicks are scalar draws, and the
+sift sees a few thousand clicks or fewer on the flume's channels, so their cost
+is mostly call overhead under the lock.  Each thread takes the next block and makes its generator under
 one lock, so it holds one generator at a time.  The blocks' integer counts are
 summed exactly, so results do not depend on the number of threads.
 """
@@ -106,16 +105,16 @@ def _table(cdf: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray, np.ndar
             np.append(0.0, -np.expm1(np.arange(1, cdf.size + 1) * log_miss)))  # never 0 * log1p(-1)
 
 
-def _photons(rng: np.random.Generator, u: np.ndarray, table: tuple) -> np.ndarray:
-    """Photon numbers of the pulses with photons in a block of u.size, in no given order.
+def _photons(rng: np.random.Generator, size: int, table: tuple) -> np.ndarray:
+    """Photon numbers of the pulses with photons in a block of ``size``, in no given order.
 
-    Their number is Binomial(u.size, 1 - P(N=0)).  Each draws a uniform v into ``u``, and
-    its photon number is the count of CDF entries <= w = P(N=0) + (1 - P(N=0)) v:
+    Their number is Binomial(size, 1 - P(N=0)).  Each draws a uniform v, and its photon
+    number is the count of CDF entries <= w = P(N=0) + (1 - P(N=0)) v:
     guide[floor(w * _CELLS)] counts those <= the start of w's cell, and only w with the next
     entry <= w too are searched.
     """
     guide, padded, _ = table
-    w = rng.random(out=u[:rng.binomial(u.size, 1 - padded[0])])
+    w = rng.random(rng.binomial(size, 1 - padded[0]))
     w *= 1 - padded[0]
     w += padded[0]
     photons = guide[(w * _CELLS).astype(np.intp)]
@@ -124,10 +123,9 @@ def _photons(rng: np.random.Generator, u: np.ndarray, table: tuple) -> np.ndarra
     return photons
 
 
-def _signal(rng: np.random.Generator, u: np.ndarray, photons: np.ndarray, chance: np.ndarray) -> int:
-    """Signal clicks among a block's lit pulses: a uniform each, in ``u``, below chance[n] of its
-    n photons."""
-    return int(np.count_nonzero(rng.random(out=u[:photons.size]) < chance[photons]))
+def _signal(rng: np.random.Generator, photons: np.ndarray, chance: np.ndarray) -> int:
+    """Signal clicks among a block's lit pulses: a uniform each below chance[n] of its n photons."""
+    return int(np.count_nonzero(rng.random(photons.size) < chance[photons]))
 
 
 def _dark_only(rng: np.random.Generator, size: int, y0: float, signal: int) -> int:
@@ -150,18 +148,18 @@ def _sift(rng: np.random.Generator, signal: int, dark_only: int, e_det: float) -
     return clicks, int(np.count_nonzero(sift)), int(np.count_nonzero(sift & wrong))
 
 
-def _block_counts(rng: np.random.Generator, u: np.ndarray, table: tuple, y0: float,
+def _block_counts(rng: np.random.Generator, size: int, table: tuple, y0: float,
                   e_det: float) -> tuple[int, int, int]:
-    """(detections, sifted, errors) of one block of u.size pulses, drawn in ``u``.
+    """(detections, sifted, errors) of one block of ``size`` pulses.
 
     Draw order: the lit count and a uniform per lit pulse (``_photons``), a click uniform per
     lit pulse (``_signal``), the dark count and, unless it or the signal clicks are 0, the
     double clicks (``_dark_only``), then bases and outcome flips for the clicks, the signal
     clicks first (``_sift``).
     """
-    photons = _photons(rng, u, table)
-    signal = _signal(rng, u, photons, table[2])
-    return _sift(rng, signal, _dark_only(rng, u.size, y0, signal), e_det)
+    photons = _photons(rng, size, table)
+    signal = _signal(rng, photons, table[2])
+    return _sift(rng, signal, _dark_only(rng, size, y0, signal), e_det)
 
 
 def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> SessionStats:
@@ -186,9 +184,8 @@ def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> S
     failures: list[BaseException] = []
 
     def work() -> None:
-        # each worker draws its blocks in one buffer until none is left; all stop once one has failed
+        # each worker draws blocks until none is left; all stop once one has failed
         try:
-            u = np.empty(min(BLOCK_SIZE, n_pulses))
             while True:
                 with lock:
                     b = None if failures else next(blocks, None)
@@ -196,7 +193,7 @@ def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> S
                         return
                     rng = _block_rng(seed, b)
                 size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
-                block_counts[b] = _block_counts(rng, u[:size], table, y0, p.e_det)
+                block_counts[b] = _block_counts(rng, size, table, y0, p.e_det)
                 del rng
         except BaseException as exc:
             failures.append(exc)

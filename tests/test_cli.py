@@ -129,6 +129,31 @@ class TestConfig:
         assert key in capsys.readouterr().err
 
 
+class TestBadPaths:
+    @pytest.mark.parametrize(
+        "argv,bad",
+        [
+            (["optimize", "--config", "{tmp}/no/such.json"], "{tmp}/no/such.json"),
+            (["optimize", "--config", "{tmp}"], "{tmp}"),  # a directory
+            (["optimize", "--config", "{tmp}/file.json/c.json"], "{tmp}/file.json/c.json"),
+            (["keyrate", "--mu", "0.5", "--nu", "0.1", "--out", "{tmp}/no/k.json"], "{tmp}/no/k.json"),
+            (["optimize", "--length", "10", "--out", "{tmp}/no/o.json"], "{tmp}/no/o.json"),
+            (["sweep", "--l-min", "0", "--l-max", "5", "--step", "5", "--out", "{tmp}/no/s.csv"],
+             "{tmp}/no/s.csv"),
+            (["montecarlo", "--mu", "0.5", "--n-pulses", "1000", "--out", "{tmp}/no/m.json"], "{tmp}/no/m.json"),
+            (["sifted", "0.01", "--out", "{tmp}/no/q.txt"], "{tmp}/no/q.txt"),
+            (["sifted", "0.01", "--out", "{tmp}"], "{tmp}"),  # a directory
+        ],
+    )
+    def test_bad_config_or_out_path_exits_1(self, argv, bad, tmp_path, capsys):
+        """A --config or --out path that does not exist, or is of the wrong kind, is a usage
+        error naming the path."""
+        (tmp_path / "file.json").write_text("{}")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("uwqkd: error: ") and err.rstrip().endswith(bad.format(tmp=tmp_path))
+
+
 class TestKeyrate:
     def test_fixed_mu_nu(self, config_file, capsys):
         rc = main(["keyrate", "--config", config_file, "--length", "10.5", "--mu", "0.5", "--nu", "0.1"])

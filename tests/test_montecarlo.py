@@ -275,7 +275,7 @@ class TestThreadedBlocks:
     @pytest.mark.parametrize("n_pulses", [10**7, 1, 3 * BLOCK_SIZE - 5])
     def test_any_cpu_count_same_stats(self, monkeypatch, n_pulses):
         started = []
-        seen = []  # (thread, buffer, block size) per block
+        seen = []  # (thread, block size) per block
 
         class CountingThread(threading.Thread):
             def start(self):
@@ -284,9 +284,9 @@ class TestThreadedBlocks:
 
         real = montecarlo._block_counts
 
-        def tracked(rng, u, *args):
-            seen.append((threading.get_ident(), u.base, u.size))
-            return real(rng, u, *args)
+        def tracked(rng, size, *args):
+            seen.append((threading.get_ident(), size))
+            return real(rng, size, *args)
 
         monkeypatch.setattr(montecarlo.threading, "Thread", CountingThread)
         monkeypatch.setattr(montecarlo, "_block_counts", tracked)
@@ -301,14 +301,10 @@ class TestThreadedBlocks:
             # the calling thread works too, so at most n_blocks - 1 threads start
             assert len(started) == min(cpus, 4, n_blocks) - 1
             assert not any(t.is_alive() for t in started)
-            # each worker draws all its blocks, a short last one included, in one buffer
-            assert sorted(size for _, _, size in seen) == sorted(
+            # every block runs once, a short last one included, on the started threads or the caller
+            assert sorted(size for _, size in seen) == sorted(
                 min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE) for b in range(n_blocks))
-            buffers = {}
-            for thread, base, _ in seen:
-                assert base.size == min(BLOCK_SIZE, n_pulses)
-                assert buffers.setdefault(thread, base) is base
-            assert len({id(base) for base in buffers.values()}) == len(buffers) <= len(started) + 1
+            assert len({thread for thread, _ in seen}) <= len(started) + 1
         assert stats[1] == stats[2] == stats[3] == stats[64]
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
@@ -463,7 +459,7 @@ class TestPhotonTable:
 
     def test_vacuum_and_bound(self):
         assert montecarlo._photon_cdf(0.0).tolist() == [1.0]
-        photons = montecarlo._photons(np.random.default_rng(0), np.empty(BLOCK_SIZE),
+        photons = montecarlo._photons(np.random.default_rng(0), BLOCK_SIZE,
                                       montecarlo._table(montecarlo._photon_cdf(0.0), 0.5))
         assert photons.size == 0
         # at the bound, exp(-mu) is 0 in doubles; the table's head underflows to 0 with it, but
@@ -479,11 +475,10 @@ class TestPhotonTable:
         expected counts are merged, and the chi-square statistic stays below its mean plus
         6 standard deviations (the normal approximation's one-sided 1e-9 point)."""
         table = montecarlo._table(montecarlo._photon_cdf(mu), 0.5)
-        u = np.empty(BLOCK_SIZE)
         hist = np.zeros(1, dtype=np.int64)
         for b in range(64):
             rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(b,)))
-            photons = montecarlo._photons(rng, u, table)
+            photons = montecarlo._photons(rng, BLOCK_SIZE, table)
             assert np.all(photons >= 1)
             h = np.bincount(photons, minlength=hist.size)
             h[0] = BLOCK_SIZE - photons.size
@@ -527,7 +522,7 @@ def lit_uniforms(cdf):
 
 def lit_photons(cdf, v):
     """(w, _photons' photon numbers) for the lit pulses' uniforms ``v``, every pulse lit."""
-    photons = montecarlo._photons(FixedUniforms(v), np.empty(v.size), montecarlo._table(cdf, 0.5))
+    photons = montecarlo._photons(FixedUniforms(v), v.size, montecarlo._table(cdf, 0.5))
     return cdf[0] + (1 - cdf[0]) * v, photons
 
 
@@ -571,9 +566,8 @@ class TestIndexedSearch:
     def test_seeded_blocks(self, mu):
         cdf = montecarlo._photon_cdf(mu)
         table = montecarlo._table(cdf, 0.5)
-        buffer = np.empty(BLOCK_SIZE)
         for b in range(4):
-            photons = montecarlo._photons(montecarlo._block_rng(3, b), buffer, table)
+            photons = montecarlo._photons(montecarlo._block_rng(3, b), BLOCK_SIZE, table)
             rng = montecarlo._block_rng(3, b)
             w = cdf[0] + (1 - cdf[0]) * rng.random(rng.binomial(BLOCK_SIZE, 1 - cdf[0]))
             assert np.array_equal(photons, np.searchsorted(cdf, w, side="right"))
@@ -667,10 +661,8 @@ class FixedUniforms:
     def __init__(self, v):
         self.v = v
 
-    def random(self, size=None, out=None):
-        out = np.empty(size) if out is None else out
-        out[...] = self.v
-        return out
+    def random(self, size=None):
+        return np.full(size, self.v, dtype=float)
 
     def binomial(self, n, p):
         return n
@@ -693,9 +685,8 @@ class TestSignalClicks:
         of 1 - (1 - eta)**n (exactly 0 or 1 where that is its value)."""
         rng = np.random.default_rng([n, SIGNAL_ETAS.index(eta)])
         photons = np.full(BLOCK_SIZE, n)
-        u = np.empty(BLOCK_SIZE)
         chances = session_chance(eta)
-        clicks = sum(montecarlo._signal(rng, u, photons, chances) for _ in range(16))
+        clicks = sum(montecarlo._signal(rng, photons, chances) for _ in range(16))
         total = 16 * BLOCK_SIZE
         chance = float(click_chance(n, eta))
         assert abs(clicks / total - chance) <= 4 * np.sqrt(chance * (1 - chance) / total), (
@@ -707,7 +698,7 @@ class TestSignalClicks:
         with np.errstate(all="raise"):
             chances = session_chance(eta)
             photons = rng.integers(1, chances.size, BLOCK_SIZE // 3)  # every n = 1 .. K
-            signal = montecarlo._signal(rng, np.empty(BLOCK_SIZE), photons, chances)
+            signal = montecarlo._signal(rng, photons, chances)
         assert signal == (photons.size if eta == 1.0 else 0)
 
     @pytest.mark.parametrize("eta", SIGNAL_ETAS)
@@ -721,8 +712,8 @@ class TestSignalClicks:
         photons = np.array([n])
         with np.errstate(all="raise"):
             chances = session_chance(eta)
-            clicked_below = montecarlo._signal(FixedUniforms(below), np.empty(1), photons, chances)
-            clicked_above = montecarlo._signal(FixedUniforms(above), np.empty(1), photons, chances)
+            clicked_below = montecarlo._signal(FixedUniforms(below), photons, chances)
+            clicked_above = montecarlo._signal(FixedUniforms(above), photons, chances)
         assert clicked_below or chance == 0
         assert not clicked_above or chance == 1
 
@@ -753,7 +744,7 @@ class TestOnePulseBlock:
             s = simulate_session(p, mu, BLOCK_SIZE + 1, seed)
             assert counts(s) == serial_counts(p, mu, BLOCK_SIZE + 1, seed)
             rng = np.random.default_rng(seed)
-            last = montecarlo._block_counts(rng, np.empty(1),
+            last = montecarlo._block_counts(rng, 1,
                                             montecarlo._table(montecarlo._photon_cdf(mu), transmittance(p)),
                                             background_yield(p), p.e_det)
             assert 0 <= last[2] <= last[1] <= last[0] <= 1

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from uwqkd import montecarlo
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -39,6 +41,21 @@ def test_script_runs(script, args, tmp_path):
                                   ["--mu", "2e4"]])
 def test_mc_crosscheck_bad_input_is_a_usage_error(args, capsys):
     main = runpy.run_path(str(ROOT / "scripts" / "mc_crosscheck.py"))["main"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"error: {args[0]} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--mu", "2e4"], ["--mu", "nan"], ["--mu", "-0.5"], ["--lengths", "-1"]])
+def test_mc_cost_bad_input_is_a_usage_error(args, capsys, monkeypatch):
+    """Rejected before any photon table is built."""
+    main = runpy.run_path(str(ROOT / "scripts" / "mc_cost.py"))["main"]
+
+    def no_table(mu):
+        raise AssertionError("a photon table was built before the input was checked")
+
+    monkeypatch.setattr(montecarlo, "_photon_cdf", no_table)
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
