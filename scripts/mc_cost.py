@@ -5,12 +5,11 @@ Times, in one process, on the default flume channel at each ``--lengths`` and
 at ``--mu``:
 
 - the stages of one 2**16-pulse block, in the order ``montecarlo._block_counts``
-  draws them: the lit count with its photon numbers (``_photons``), the signal
-  click count with its click chances (``_signal``), the dark count with the
-  double clicks (``_dark_only``) and sift/outcome (``_sift``), then the whole
-  block (``_block_counts``), each over ``--blocks`` blocks of their own seeded
-  streams, each block allocating arrays for its lit pulses only, as in
-  ``simulate_session``;
+  draws them: the count of pulses per photon number (``_photons``), the signal
+  clicks of those counts (``_signal``), the dark count with the double clicks
+  (``_dark_only``) and sift/outcome (``_sift``), then the whole block
+  (``_block_counts``), each over ``--blocks`` blocks of their own seeded
+  streams;
 - ``simulate_session`` at ``--n-pulses`` pulses (default 10**7), ``--repeats``
   times.
 
@@ -21,6 +20,7 @@ checkout's ``src/``.
 
     python3 scripts/mc_cost.py
     python3 scripts/mc_cost.py --lengths 0.5 --mu 0.1 --repeats 9
+    python3 scripts/mc_cost.py --mu 1e4 --blocks 100 --n-pulses 1000000
 """
 
 import argparse
@@ -35,18 +35,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from uwqkd import montecarlo  # noqa: E402
 from uwqkd.channel import ChannelParams, background_yield, transmittance  # noqa: E402
 
-STAGES = ("lit photon numbers", "signal clicks", "dark/double clicks", "sift/outcome", "whole block")
+STAGES = ("photon-number counts", "signal clicks", "dark/double clicks", "sift/outcome", "whole block")
 
 
-def block_stages(seed: int, block: int, table, y0: float, e_det: float) -> list[float]:
+def block_stages(seed: int, block: int, pmf, chance, y0: float, e_det: float) -> list[float]:
     """Seconds spent in each of ``STAGES`` on one full block; the whole block is
     ``_block_counts`` on a second generator of the same stream."""
     size = montecarlo.BLOCK_SIZE
     rng = montecarlo._block_rng(seed, block)
     t0 = time.perf_counter()
-    photons = montecarlo._photons(rng, size, table)
+    photons = montecarlo._photons(rng, size, pmf)
     t1 = time.perf_counter()
-    signal = montecarlo._signal(rng, photons, table[2])
+    signal = montecarlo._signal(rng, photons, chance)
     t2 = time.perf_counter()
     dark_only = montecarlo._dark_only(rng, size, y0, signal)
     t3 = time.perf_counter()
@@ -54,7 +54,7 @@ def block_stages(seed: int, block: int, table, y0: float, e_det: float) -> list[
     t4 = time.perf_counter()
     rng = montecarlo._block_rng(seed, block)
     t5 = time.perf_counter()
-    montecarlo._block_counts(rng, size, table, y0, e_det)
+    montecarlo._block_counts(rng, size, pmf, chance, y0, e_det)
     t6 = time.perf_counter()
     return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t6 - t5]
 
@@ -82,12 +82,12 @@ def main(argv=None):
             ap.error(f"--{name.replace('_', '-')} must be >= 1")
 
     channels = {length: ChannelParams().at_length(length) for length in args.lengths}
-    cdf = montecarlo._photon_cdf(args.mu)
-    tables = {length: montecarlo._table(cdf, transmittance(p)) for length, p in channels.items()}
+    pmf = montecarlo._photon_pmf(args.mu)
+    chances = {length: montecarlo._click_chance(transmittance(p), pmf.size) for length, p in channels.items()}
     stages = {length: [[] for _ in STAGES] for length in channels}
     for b in range(args.blocks):
         for length, p in channels.items():
-            for out, s in zip(stages[length], block_stages(1, b, tables[length], background_yield(p), p.e_det)):
+            for out, s in zip(stages[length], block_stages(1, b, pmf, chances[length], background_yield(p), p.e_det)):
                 out.append(s / montecarlo.BLOCK_SIZE * 1e9)
     sessions = {length: [] for length in channels}
     for r in range(args.repeats):

@@ -23,6 +23,10 @@ def main(argv=None):
         ap.error(f"--mu must be > 0 and <= {_MU_MAX:g}, got {args.mu}")
     if args.n_pulses < 1:
         ap.error(f"--n-pulses must be >= 1, got {args.n_pulses}")
+    if args.seed < 0:
+        ap.error(f"--seed must be >= 0, got {args.seed}")
+    if not 0 <= args.e_det < 0.5:
+        ap.error(f"--e-det must be >= 0 and < 0.5, got {args.e_det}")
 
     base = ChannelParams(e_det=args.e_det)
     print(f"{'L [m]':>6} {'Q_hat':>10} {'Q_model':>10} {'dQ/SE':>7} "

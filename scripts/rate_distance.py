@@ -8,6 +8,7 @@ operating points against the dark-count-only model curve.
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -24,6 +25,10 @@ def main(argv=None):
     ap.add_argument("--step", type=float, default=1.0)
     ap.add_argument("--out", default="rate_distance.csv")
     args = ap.parse_args(argv)
+    if not (math.isfinite(args.l_max) and args.l_max >= 0):
+        ap.error(f"--l-max must be finite and >= 0, got {args.l_max}")
+    if not (math.isfinite(args.step) and args.step > 0):
+        ap.error(f"--step must be finite and > 0, got {args.step}")
 
     p = ChannelParams(e_det=0.0)  # dark-count-limited channel
     lengths = list(np.arange(0.0, args.l_max + args.step / 2, args.step))

@@ -7,37 +7,27 @@ dark counts OR-ed into the detection window, and uniform basis choice on both
 sides.  Double clicks (signal + dark) resolve to the signal outcome; dark-only
 clicks carry a uniformly random outcome.
 
-A block draws only its pulses with photons and keeps no pulse positions; both
-substitutions sample the same process exactly (Devroye 1986, ch. X-XI).  The
-lit count is Binomial(block size, 1 - P(N=0)), and each lit pulse's uniform v
-gives w = P(N=0) + (1 - P(N=0)) v, inverted against a Poisson CDF table built
-once per session, outward from the mode, by indexed search (Chen & Asau 1974): a
-guide table over 2**12 equal cells answers all but the w whose cell also holds
-an entry at or below them.  The table stops at the first photon number K whose
-tail P(N > K) is below 2**-53, the spacing of the uniforms, and that tail is
-folded into K.  A second uniform per lit pulse, against the session's table of
-1 - (1-eta)^n for n = 1 .. K, gives the S signal clicks.  The D dark counts are
-Binomial(block size, Y0) at distinct, uniformly placed pulses, so
-Hypergeometric(S, size - S, D) of them are double clicks.  Bases and outcomes
-are drawn for the clicks only.
+A block counts its pulses per photon number and keeps no pulse positions; this
+samples the same process as drawing every pulse, exactly (Devroye 1986, ch.
+XI).  One multinomial draw over the session's Poisson table gives the block's
+count of pulses with n = 0 .. K photons, and one binomial per count, at
+chance[n] = 1 - (1-eta)^n, thins it to that class's signal clicks, S in all.
+The table is built once per session, outward from the mode, and stops at the
+first photon number K whose tail P(N > K) is below 2**-53; that tail is folded
+into K.  The D dark counts are Binomial(block size, Y0) at distinct, uniformly
+placed pulses, so Hypergeometric(S, size - S, D) of them are double clicks.
+Bases and outcomes are drawn for the clicks only.
 
-Pulses are simulated in blocks of 2**16, each block drawing from its own stream
-derived from the master seed.  The blocks run on min(usable CPUs, 4, number of
-blocks) threads, the calling thread included; a block allocates arrays for its
-lit pulses only (~39 % of it at mu = 0.5).  numpy releases the interpreter lock
-inside its array calls (the uniform draws, the table lookups and comparisons)
-but not between them; the counts and double clicks are scalar draws, and the
-sift sees a few thousand clicks or fewer on the flume's channels, so their cost
-is mostly call overhead under the lock.  Each thread takes the next block and makes its generator under
-one lock, so it holds one generator at a time.  The blocks' integer counts are
-summed exactly, so results do not depend on the number of threads.
+Pulses are simulated in blocks of 2**16, in order on the calling thread, each
+block drawing from its own stream derived from the master seed; the blocks'
+integer counts are summed.  A block's draws see arrays of K + 1 entries or of
+its clicks, a few thousand or fewer on the flume's channels, so their cost is
+mostly call overhead under the interpreter lock, which threads cannot share.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +35,8 @@ import numpy as np
 from .channel import ChannelParams, _gain_qber, _is_int, background_yield, transmittance
 
 BLOCK_SIZE = 2**16
-_MAX_THREADS = 4
 _BAND_SE = 4.0  # half-width of within_model_band's band, in standard errors
-_MU_MAX = 1e4  # largest mu simulated; its photon table has K = 10832 entries
-_CELLS = 2**12  # cells of _photons' guide table; a power of two, so w * _CELLS is exact
+_MU_MAX = 1e4  # largest mu simulated; its photon table has K = 10832
 
 
 @dataclass(frozen=True)
@@ -68,18 +56,11 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _photon_pmf(mu: float) -> np.ndarray:
+    """Poisson(mu) table of a session's blocks: P(N = k) for k = 0 .. K-1, and P(N >= K) at K.
 
-
-def _photon_cdf(mu: float) -> np.ndarray:
-    """Inversion table of Poisson(mu): P(N <= k) for k = 0 .. K-1.
-
-    K is the first k with P(N > k) below 2**-53, the spacing of ``rng.random``'s
-    uniforms, and at least 1.  K is the largest photon number the table gives:
-    the mass above it, below 2**-53, is folded into K.
+    K is the first k with P(N > k) below 2**-53, and at least 1: the mass above it, which
+    a double next to 1 cannot hold, is folded into K.
     """
     k = np.arange(1.0, int(mu + 40 * math.sqrt(mu) + 40))  # the tail beyond is far below 2**-53
     # P(N = k) / P(N = mode), from 1 at the mode floor(mu) by P(k) = P(k-1) mu / k both ways, so
@@ -89,43 +70,25 @@ def _photon_cdf(mu: float) -> np.ndarray:
     pmf = np.concatenate((np.cumprod(k[:mode][::-1] / mu)[::-1],  # P(k-1) = P(k) k / mu below it
                           np.cumprod(np.append(1.0, mu / k[mode:]))))
     pmf /= pmf.sum()
-    below = np.cumsum(pmf)  # P(N <= k), summed from the head
-    above = np.cumsum(pmf[::-1])[::-1][1:]  # P(N > k), summed from the far tail
-    n = max(1, int(np.argmax(above < 2.0**-53)))
-    # each entry from whichever sum is the smaller, so it is within a few ulps
-    return np.where(below[:n] < 0.5, below[:n], 1.0 - above[:n])
+    tail = np.cumsum(pmf[::-1])[::-1]  # P(N >= k), summed from the far tail
+    n = max(1, int(np.argmax(tail[1:] < 2.0**-53)))
+    return np.append(pmf[:n], tail[n])
 
 
-def _table(cdf: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A session's block table of ``cdf``: guide[j], the number of entries <= j / ``_CELLS``
-    for j = 0 .. ``_CELLS`` (the last for a w that rounds to 1.0), ``cdf`` with +inf appended,
-    and chance[n] = 1 - (1 - eta)**n, as -expm1(n log1p(-eta)), for n = 1 .. K, with chance[0] = 0."""
+def _click_chance(eta: float, size: int) -> np.ndarray:
+    """chance[n] = 1 - (1 - eta)**n, as -expm1(n log1p(-eta)), for n = 1 .. size - 1, with chance[0] = 0."""
     log_miss = math.log1p(-eta) if eta < 1 else -math.inf  # log1p(-1) raises
-    return (np.searchsorted(cdf, np.arange(_CELLS + 1) / _CELLS, side="right"), np.append(cdf, np.inf),
-            np.append(0.0, -np.expm1(np.arange(1, cdf.size + 1) * log_miss)))  # never 0 * log1p(-1)
+    return np.append(0.0, -np.expm1(np.arange(1, size) * log_miss))  # never 0 * log1p(-1)
 
 
-def _photons(rng: np.random.Generator, size: int, table: tuple) -> np.ndarray:
-    """Photon numbers of the pulses with photons in a block of ``size``, in no given order.
-
-    Their number is Binomial(size, 1 - P(N=0)).  Each draws a uniform v, and its photon
-    number is the count of CDF entries <= w = P(N=0) + (1 - P(N=0)) v:
-    guide[floor(w * _CELLS)] counts those <= the start of w's cell, and only w with the next
-    entry <= w too are searched.
-    """
-    guide, padded, _ = table
-    w = rng.random(rng.binomial(size, 1 - padded[0]))
-    w *= 1 - padded[0]
-    w += padded[0]
-    photons = guide[(w * _CELLS).astype(np.intp)]
-    search = np.flatnonzero(w >= padded[photons])
-    photons[search] = np.searchsorted(padded, w[search], side="right")
-    return photons
+def _photons(rng: np.random.Generator, size: int, pmf: np.ndarray) -> np.ndarray:
+    """The count of a block's ``size`` pulses with n = 0 .. K photons: one multinomial draw."""
+    return rng.multinomial(size, pmf)
 
 
 def _signal(rng: np.random.Generator, photons: np.ndarray, chance: np.ndarray) -> int:
-    """Signal clicks among a block's lit pulses: a uniform each below chance[n] of its n photons."""
-    return int(np.count_nonzero(rng.random(photons.size) < chance[photons]))
+    """Signal clicks of a block with photons[n] pulses of n photons: Binomial(photons[n], chance[n]) each."""
+    return int(rng.binomial(photons, chance).sum())
 
 
 def _dark_only(rng: np.random.Generator, size: int, y0: float, signal: int) -> int:
@@ -148,17 +111,16 @@ def _sift(rng: np.random.Generator, signal: int, dark_only: int, e_det: float) -
     return clicks, int(np.count_nonzero(sift)), int(np.count_nonzero(sift & wrong))
 
 
-def _block_counts(rng: np.random.Generator, size: int, table: tuple, y0: float,
-                  e_det: float) -> tuple[int, int, int]:
+def _block_counts(rng: np.random.Generator, size: int, pmf: np.ndarray, chance: np.ndarray,
+                  y0: float, e_det: float) -> tuple[int, int, int]:
     """(detections, sifted, errors) of one block of ``size`` pulses.
 
-    Draw order: the lit count and a uniform per lit pulse (``_photons``), a click uniform per
-    lit pulse (``_signal``), the dark count and, unless it or the signal clicks are 0, the
-    double clicks (``_dark_only``), then bases and outcome flips for the clicks, the signal
-    clicks first (``_sift``).
+    Draw order: the count of pulses per photon number (``_photons``), the signal clicks of
+    each count in photon-number order (``_signal``), the dark count and, unless it or the
+    signal clicks are 0, the double clicks (``_dark_only``), then bases and outcome flips for
+    the clicks, the signal clicks first (``_sift``).
     """
-    photons = _photons(rng, size, table)
-    signal = _signal(rng, photons, table[2])
+    signal = _signal(rng, _photons(rng, size, pmf), chance)
     return _sift(rng, signal, _dark_only(rng, size, y0, signal), e_det)
 
 
@@ -171,42 +133,13 @@ def simulate_session(p: ChannelParams, mu: float, n_pulses: int, seed: int) -> S
     if not (_is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     n_pulses, seed = int(n_pulses), int(seed)
-    eta, y0 = transmittance(p), background_yield(p)
-    table = _table(_photon_cdf(mu), eta)
-
-    n_blocks = (n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
-    n_workers = min(_usable_cpus(), _MAX_THREADS, n_blocks)
-    # a block is taken and its generator made under the lock, so _block_rng runs once per
-    # block, in block order, one call at a time; the generator is dropped after its block
-    blocks = iter(range(n_blocks))
-    lock = threading.Lock()
-    block_counts: list[tuple[int, int, int] | None] = [None] * n_blocks
-    failures: list[BaseException] = []
-
-    def work() -> None:
-        # each worker draws blocks until none is left; all stop once one has failed
-        try:
-            while True:
-                with lock:
-                    b = None if failures else next(blocks, None)
-                    if b is None:
-                        return
-                    rng = _block_rng(seed, b)
-                size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
-                block_counts[b] = _block_counts(rng, size, table, y0, p.e_det)
-                del rng
-        except BaseException as exc:
-            failures.append(exc)
-
-    threads = [threading.Thread(target=work) for _ in range(n_workers - 1)]
-    for t in threads:
-        t.start()
-    work()
-    for t in threads:
-        t.join()
-    if failures:
-        raise failures[0]
-    detections, sifted, errors = (sum(col) for col in zip(*block_counts))
+    y0, pmf = background_yield(p), _photon_pmf(mu)
+    chance = _click_chance(transmittance(p), pmf.size)
+    # one generator per block, dropped when its block returns
+    blocks = [_block_counts(_block_rng(seed, b), min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE), pmf, chance,
+                            y0, p.e_det)
+              for b in range((n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE)]
+    detections, sifted, errors = (sum(col) for col in zip(*blocks))
 
     q_hat = detections / n_pulses
     q_se = math.sqrt(q_hat * (1 - q_hat) / n_pulses)

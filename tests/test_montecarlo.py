@@ -1,5 +1,5 @@
 import math
-import sys
+import os
 import threading
 import warnings
 import weakref
@@ -108,23 +108,82 @@ class TestEstimate:
 
 
 def serial_counts(p, mu, n_pulses, seed):
-    """(detections, sifted, errors) from a one-thread per-block loop in simulate_session's
-    draw order, kept as its oracle: the number of pulses with photons, Binomial(size,
-    1 - P(N=0)), and their photon numbers by inversion of w = P(N=0) + (1 - P(N=0)) v for one
-    uniform v each, one uniform per pulse with photons against its click chance
-    1 - (1 - eta)**n, the dark count, the double clicks among them by a hypergeometric draw
-    (only when both counts are nonzero), then bases and outcome flips for the signal clicks
-    and then the dark-only clicks."""
+    """(detections, sifted, errors) from a per-block loop in simulate_session's draw order,
+    kept as its oracle: the block's count of pulses with n = 0 .. K photons, one multinomial
+    draw over the Poisson table, the signal clicks of each count, Binomial(count,
+    1 - (1 - eta)**n) in photon-number order, the dark count, the double clicks among them by
+    a hypergeometric draw (only when both counts are nonzero), then bases and outcome flips
+    for the signal clicks and then the dark-only clicks."""
     eta = transmittance(p)
     y0 = background_yield(p)
-    cdf = montecarlo._photon_cdf(mu)
+    pmf = montecarlo._photon_pmf(mu)
+    chance = 1 - (1 - eta) ** np.arange(pmf.size)
     detections = sifted = errors = 0
     n_blocks = (n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
     for b in range(n_blocks):
         size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        n_lit = rng.binomial(size, 1 - cdf[0])
-        n_phot = np.searchsorted(cdf, cdf[0] + (1 - cdf[0]) * rng.random(n_lit), side="right")
+        n_signal = int(rng.binomial(rng.multinomial(size, pmf), chance).sum())
+        n_dark = int(rng.binomial(size, y0))
+        both = int(rng.hypergeometric(n_signal, size - n_signal, n_dark)) if n_signal and n_dark else 0
+        k = n_signal + n_dark - both
+        basis_match = rng.integers(0, 2, k) == rng.integers(0, 2, k)
+        flip = rng.random(k)
+        wrong = np.concatenate([flip[:n_signal] < p.e_det, flip[n_signal:] < 0.5])
+        detections += k
+        sifted += int(basis_match.sum())
+        errors += int((basis_match & wrong).sum())
+    return detections, sifted, errors
+
+
+CELLS = 2**12  # cells of guide_table; a power of two, so w * CELLS is exact
+
+
+def photon_cdf(mu):
+    """P(N <= k) for k = 0 .. K-1 from the session's photon table, each entry from whichever of
+    the head and tail sums is the smaller, so it is within a few ulps."""
+    pmf = montecarlo._photon_pmf(mu)
+    below = np.cumsum(pmf)[:-1]
+    above = np.cumsum(pmf[::-1])[::-1][1:]  # P(N > k), summed from the folded tail
+    return np.where(below < 0.5, below, 1.0 - above)
+
+
+def guide_table(cdf):
+    """guide[j], the number of entries of ``cdf`` <= j / CELLS for j = 0 .. CELLS (the last for a
+    w that rounds to 1.0), and ``cdf`` with +inf appended."""
+    return np.searchsorted(cdf, np.arange(CELLS + 1) / CELLS, side="right"), np.append(cdf, np.inf)
+
+
+def guide_photons(rng, size, table):
+    """Photon numbers of the pulses with photons in a block of ``size``, by the indexed search
+    (Chen & Asau 1974) of the guide-table draw order: their number is Binomial(size,
+    1 - P(N=0)), each draws a uniform v, and its photon number is the count of CDF entries
+    <= w = P(N=0) + (1 - P(N=0)) v; guide[floor(w * CELLS)] counts those <= the start of
+    w's cell, and only w with the next entry <= w too are searched."""
+    guide, padded = table
+    w = rng.random(rng.binomial(size, 1 - padded[0]))
+    w *= 1 - padded[0]
+    w += padded[0]
+    photons = guide[(w * CELLS).astype(np.intp)]
+    search = np.flatnonzero(w >= padded[photons])
+    photons[search] = np.searchsorted(padded, w[search], side="right")
+    return photons
+
+
+def guide_order_counts(p, mu, n_pulses, seed):
+    """(detections, sifted, errors) in the previous draw order: the number of pulses with
+    photons and their photon numbers by the guide table (guide_photons), one uniform per
+    pulse with photons against its click chance 1 - (1 - eta)**n, then the dark count, the
+    double clicks and the sift as in serial_counts."""
+    eta = transmittance(p)
+    y0 = background_yield(p)
+    table = guide_table(photon_cdf(mu))
+    detections = sifted = errors = 0
+    n_blocks = (n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
+    for b in range(n_blocks):
+        size = min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        n_phot = guide_photons(rng, size, table)
         n_signal = int((rng.random(n_phot.size) < 1 - (1 - eta) ** n_phot).sum())
         n_dark = int(rng.binomial(size, y0))
         both = int(rng.hypergeometric(n_signal, size - n_signal, n_dark)) if n_signal and n_dark else 0
@@ -139,7 +198,7 @@ def serial_counts(p, mu, n_pulses, seed):
 
 
 def positions_order_counts(p, mu, n_pulses, seed):
-    """(detections, sifted, errors) in the previous draw order: a photon number for every
+    """(detections, sifted, errors) in the draw order before that: a photon number for every
     pulse by inversion of one uniform, one uniform per pulse with photons against its click
     chance, a dark-count total and its positions, then bases and outcome flips for the signal
     clicks and then the dark-only clicks, counted on bool rows of the block."""
@@ -160,7 +219,7 @@ def _inversion_order_counts(p, mu, n_pulses, seed, signal_clicks):
     the signal-click row of the pulses with photons from their photon numbers n."""
     eta = transmittance(p)
     y0 = background_yield(p)
-    cdf = montecarlo._photon_cdf(mu)
+    cdf = photon_cdf(mu)
     detections = sifted = errors = 0
     n_blocks = (n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
     for b in range(n_blocks):
@@ -250,11 +309,13 @@ ORACLE_CHANNELS = {
 
 
 def _set_cpus(monkeypatch, n):
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: n)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
 
 
 class TestThreadedBlocks:
+    """The blocks, which once ran on a thread pool, run in order on the calling thread."""
+
     @pytest.mark.parametrize("n_pulses", [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1,
                                           5 * BLOCK_SIZE + 7, 10**6])
     @pytest.mark.parametrize("channel", sorted(ORACLE_CHANNELS))
@@ -264,101 +325,69 @@ class TestThreadedBlocks:
         assert counts(s) == serial_counts(p, mu, n_pulses, 2024)
         assert s.pulses_sent == n_pulses
 
-    def test_usable_cpus(self, monkeypatch):
-        _set_cpus(monkeypatch, 3)
-        assert montecarlo._usable_cpus() == 3
-        monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
-        assert montecarlo._usable_cpus() == 3
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
-        assert montecarlo._usable_cpus() == 1
-
     @pytest.mark.parametrize("n_pulses", [10**7, 1, 3 * BLOCK_SIZE - 5])
     def test_any_cpu_count_same_stats(self, monkeypatch, n_pulses):
-        started = []
-        seen = []  # (thread, block size) per block
-
-        class CountingThread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
+        seen = []  # the size of each block, as it runs
         real = montecarlo._block_counts
 
         def tracked(rng, size, *args):
-            seen.append((threading.get_ident(), size))
+            seen.append(size)
             return real(rng, size, *args)
 
-        monkeypatch.setattr(montecarlo.threading, "Thread", CountingThread)
         monkeypatch.setattr(montecarlo, "_block_counts", tracked)
         p = ChannelParams().at_length(10.5)
-        n_blocks = -(-n_pulses // BLOCK_SIZE)
         stats = {}
-        for cpus in (1, 2, 3, 64):
+        for cpus in (1, 64):
             _set_cpus(monkeypatch, cpus)
-            started.clear()
             seen.clear()
             stats[cpus] = simulate_session(p, 0.5, n_pulses, 11)
-            # the calling thread works too, so at most n_blocks - 1 threads start
-            assert len(started) == min(cpus, 4, n_blocks) - 1
-            assert not any(t.is_alive() for t in started)
-            # every block runs once, a short last one included, on the started threads or the caller
-            assert sorted(size for _, size in seen) == sorted(
-                min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE) for b in range(n_blocks))
-            assert len({thread for thread, _ in seen}) <= len(started) + 1
-        assert stats[1] == stats[2] == stats[3] == stats[64]
+            # every block runs once, in order, a short last one included
+            assert seen == [min(BLOCK_SIZE, n_pulses - b * BLOCK_SIZE)
+                            for b in range(-(-n_pulses // BLOCK_SIZE))]
+        assert stats[1] == stats[64]
 
-    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+    def test_starts_no_thread(self, monkeypatch):
+        def no_start(thread):
+            raise AssertionError("simulate_session started a thread")
+
+        callers = []
+        real = montecarlo._block_counts
+
+        def tracked(*args):
+            callers.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        monkeypatch.setattr(montecarlo, "_block_counts", tracked)
         _set_cpus(monkeypatch, 64)
-        p, mu = ORACLE_CHANNELS["flume"]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            s = simulate_session(p, mu, 9 * BLOCK_SIZE + 3, 5)
-        finally:
-            sys.setswitchinterval(interval)
-        assert counts(s) == serial_counts(p, mu, 9 * BLOCK_SIZE + 3, 5)
+        simulate_session(ChannelParams().at_length(10.5), 0.5, 5 * BLOCK_SIZE, 0)
+        assert callers == [threading.get_ident()] * 5
 
-    @pytest.mark.parametrize("cpus", [1, 2, 64])
-    def test_generators_made_in_windows(self, monkeypatch, cpus):
-        _set_cpus(monkeypatch, cpus)
-        workers = min(cpus, 4)
+    def test_one_generator_alive_at_a_time(self, monkeypatch):
         p = ChannelParams().at_length(10.5)
         expected = simulate_session(p, 0.5, 10**7, 17)
         real = montecarlo._block_rng
-        calls, inside, live, peak, blocks = [0], [0], [], [0], []
+        live, peak, blocks = [], [0], []
 
         class Tracked(np.random.Generator):
             pass  # a Python subclass, so that it takes weak references
 
         def tracked(seed, b):
-            # a tracer's unlocked `+= 1`, with the read and the write far apart: a second
-            # thread inside at once would trip the assert or lose a count
-            n = calls[0]
-            inside[0] += 1
-            assert inside[0] == 1, "_block_rng entered on two threads at once"
             blocks.append(b)
             rng = Tracked(real(seed, b).bit_generator)
             live.append(weakref.ref(rng))
             peak[0] = max(peak[0], sum(r() is not None for r in live))
-            inside[0] -= 1
-            calls[0] = n + 1
             return rng
 
         monkeypatch.setattr(montecarlo, "_block_rng", tracked)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            assert simulate_session(p, 0.5, 10**7, 17) == expected
-        finally:
-            sys.setswitchinterval(interval)
-        assert calls[0] == 153
+        assert simulate_session(p, 0.5, 10**7, 17) == expected
         assert blocks == list(range(153))
-        assert peak[0] <= workers
+        assert peak[0] == 1
 
     @pytest.mark.parametrize("bad_block", [0, 1, 6])
     def test_failing_block_raises(self, monkeypatch, bad_block):
-        _set_cpus(monkeypatch, 64)
         real = montecarlo._block_rng
+        made = []
 
         class Broken:
             def __getattr__(self, name):
@@ -366,12 +395,16 @@ class TestThreadedBlocks:
                     raise RuntimeError("broken generator")
                 return draw
 
-        monkeypatch.setattr(montecarlo, "_block_rng",
-                            lambda seed, b: Broken() if b == bad_block else real(seed, b))
+        def block_rng(seed, b):
+            made.append(b)
+            return Broken() if b == bad_block else real(seed, b)
+
+        monkeypatch.setattr(montecarlo, "_block_rng", block_rng)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="broken generator"):
             simulate_session(ChannelParams(), 0.5, 8 * BLOCK_SIZE, 0)
         assert threading.active_count() == before
+        assert made == list(range(bad_block + 1))  # no block runs after the failing one
 
 
 DISTRIBUTION_CHANNELS = {
@@ -388,13 +421,14 @@ DISTRIBUTION_CHANNELS = {
 
 @pytest.mark.parametrize("channel", sorted(DISTRIBUTION_CHANNELS))
 def test_draw_orders_agree_in_distribution(channel):
-    """Pooled over 200 seeds, simulate_session and the four earlier draw orders give the
+    """Pooled over 200 seeds, simulate_session and the five earlier draw orders give the
     same gain, sifted fraction and QBER within 4 combined standard errors.  The positions
     order draws the dark counts' positions, so on the dark-dominated channels it checks the
     hypergeometric double clicks against double clicks on drawn pulses."""
     p, mu = DISTRIBUTION_CHANNELS[channel]
     n = BLOCK_SIZE // 2
     orders = {"session": lambda seed: counts(simulate_session(p, mu, n, seed)),
+              "guide": lambda seed: guide_order_counts(p, mu, n, seed),
               "positions": lambda seed: positions_order_counts(p, mu, n, seed),
               "binomial": lambda seed: binomial_order_counts(p, mu, n, seed),
               "poisson": lambda seed: poisson_order_counts(p, mu, n, seed),
@@ -403,7 +437,7 @@ def test_draw_orders_agree_in_distribution(channel):
     for seed in range(200):
         for k, draw in orders.items():
             pooled[k][1:] += draw(seed)
-    for other in ("positions", "binomial", "poisson", "every"):
+    for other in ("guide", "positions", "binomial", "poisson", "every"):
         # detections / pulses, sifted / detections, then errors / sifted
         for num, den in ((1, 0), (2, 1), (3, 2)):
             (a, n_a), (b, n_b) = ((pooled[k][num], pooled[k][den]) for k in ("session", other))
@@ -425,8 +459,19 @@ def poisson_cdf(mu, k_max):
         return out
 
 
+def poisson_pmf(mu, k_max):
+    """Exact P(N = k) of Poisson(mu) for k = 0 .. k_max - 1 and P(N >= k_max) at k_max, at 50
+    digits; the tail is summed up to mu + 40 sqrt(mu) + 80, past which it is below 1e-300."""
+    with mpmath.workdps(50):
+        m = mpmath.mpf(mu)
+        terms = [mpmath.exp(-m)]
+        for k in range(1, max(k_max, int(mu + 40 * math.sqrt(mu) + 80)) + 1):
+            terms.append(terms[-1] * m / k)
+        return terms[:k_max] + [mpmath.fsum(terms[k_max:])]
+
+
 def exp_start_cdf(mu):
-    """The Poisson table built upwards from P(N=0) = exp(-mu): _photon_cdf's oracle at small mu."""
+    """The Poisson table built upwards from P(N=0) = exp(-mu): photon_cdf's oracle at small mu."""
     k = np.arange(1.0, int(mu + 40 * math.sqrt(mu) + 40))
     pmf = math.exp(-mu) * np.cumprod(np.concatenate(([1.0], mu / k)))
     below = np.cumsum(pmf)
@@ -439,7 +484,8 @@ class TestPhotonTable:
     @pytest.mark.parametrize("mu", [1e-300, 1e-9, 1e-3, 0.1, 0.5, 1.0, 3.7, 10.0, 20.0, 49.9, 50.0,
                                     100.0, 700.0, 2000.0, montecarlo._MU_MAX])
     def test_matches_exact_poisson(self, mu):
-        cdf = montecarlo._photon_cdf(mu)
+        cdf = photon_cdf(mu)
+        assert montecarlo._photon_pmf(mu).size == cdf.size + 1  # P(N = 0 .. K-1) and P(N >= K)
         exact = poisson_cdf(mu, cdf.size)
         with mpmath.workdps(50):
             err = max(abs(mpmath.mpf(float(c)) - e) for c, e in zip(cdf, exact))
@@ -449,40 +495,51 @@ class TestPhotonTable:
         assert tail[cdf.size] < 2.0**-53
         assert cdf.size == 1 or tail[cdf.size - 1] >= 2.0**-53
         assert np.all(np.diff(cdf) >= 0)
-        assert cdf.size == 1 or cdf[-1] <= 1 - 2.0**-53  # the largest uniform reaches K
+        assert cdf.size == 1 or cdf[-1] <= 1 - 2.0**-53  # K has a chance of at least 2**-53
+
+    @pytest.mark.parametrize("mu", [0.5, 100.0, montecarlo._MU_MAX])
+    def test_pmf_matches_exact_poisson(self, mu):
+        """Each entry is within 1e-13 (relative) of the 50-digit pmf, the last of the tail
+        P(N >= K) folded into it; an entry whose exact value is below the smallest normal
+        double, as at the head of mu = 1e4, is within 1e-13 of that."""
+        pmf = montecarlo._photon_pmf(mu)
+        exact = poisson_pmf(mu, pmf.size - 1)
+        with mpmath.workdps(50):
+            err = max(abs(mpmath.mpf(float(c)) - e) / max(e, 2.0**-1022) for c, e in zip(pmf, exact))
+        assert err <= 1e-13, (mu, float(err))
+        assert pmf.size == {0.5: 15, 100.0: 194, montecarlo._MU_MAX: 10833}[mu]
 
     @pytest.mark.parametrize("mu", [0.0, 1e-300, 1e-9, 1e-3, 0.1, 0.5, 1.0])
     def test_equals_exp_start_bit_for_bit(self, mu):
-        """Started from the mode, the table is the one started from exp(-mu), bit for bit, at
-        these mu (the montecarlo output pin runs 0.5)."""
-        assert montecarlo._photon_cdf(mu).tobytes() == exp_start_cdf(mu).tobytes()
+        """Started from the mode, the table's CDF is the one started from exp(-mu), bit for bit,
+        at these mu."""
+        assert photon_cdf(mu).tobytes() == exp_start_cdf(mu).tobytes()
 
     def test_vacuum_and_bound(self):
-        assert montecarlo._photon_cdf(0.0).tolist() == [1.0]
-        photons = montecarlo._photons(np.random.default_rng(0), BLOCK_SIZE,
-                                      montecarlo._table(montecarlo._photon_cdf(0.0), 0.5))
-        assert photons.size == 0
+        pmf = montecarlo._photon_pmf(0.0)
+        assert pmf.tolist() == [1.0, 0.0]
+        photons = montecarlo._photons(np.random.default_rng(0), BLOCK_SIZE, pmf)
+        assert photons.tolist() == [BLOCK_SIZE, 0]
         # at the bound, exp(-mu) is 0 in doubles; the table's head underflows to 0 with it, but
         # nothing is NaN or infinite and the tail rule still ends the table
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            cdf = montecarlo._photon_cdf(montecarlo._MU_MAX)
-        assert math.exp(-montecarlo._MU_MAX) == 0.0 and cdf[0] == 0.0
-        assert np.all(np.isfinite(cdf)) and cdf.size == 10832
+            pmf = montecarlo._photon_pmf(montecarlo._MU_MAX)
+        assert math.exp(-montecarlo._MU_MAX) == 0.0 and pmf[0] == 0.0
+        assert np.all(np.isfinite(pmf)) and pmf.size == 10833
 
     @pytest.mark.parametrize("mu", [1e-3, 0.5, 50.0, 100.0, montecarlo._MU_MAX])
     def test_pooled_histogram(self, mu):
-        """Photon numbers pooled over 64 blocks fit Poisson(mu): bins with fewer than 20
+        """Photon-number counts pooled over 64 blocks fit Poisson(mu): bins with fewer than 20
         expected counts are merged, and the chi-square statistic stays below its mean plus
         6 standard deviations (the normal approximation's one-sided 1e-9 point)."""
-        table = montecarlo._table(montecarlo._photon_cdf(mu), 0.5)
-        hist = np.zeros(1, dtype=np.int64)
+        pmf = montecarlo._photon_pmf(mu)
+        hist = np.zeros(pmf.size, dtype=np.int64)
         for b in range(64):
             rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(b,)))
-            photons = montecarlo._photons(rng, BLOCK_SIZE, table)
-            assert np.all(photons >= 1)
-            h = np.bincount(photons, minlength=hist.size)
-            h[0] = BLOCK_SIZE - photons.size
-            hist = np.pad(hist, (0, h.size - hist.size)) + h
+            photons = montecarlo._photons(rng, BLOCK_SIZE, pmf)
+            assert photons.sum() == BLOCK_SIZE
+            hist += photons
+        hist = np.trim_zeros(hist, "b")
         n = 64 * BLOCK_SIZE
         exact = [float(c) for c in poisson_cdf(mu, hist.size)]
         pmf = np.diff([0.0, *exact[:-1]])
@@ -503,7 +560,7 @@ class TestPhotonTable:
 def edge_uniforms(cdf):
     """Values where a guide lookup could go wrong: every entry of ``cdf`` and its
     neighbours, every guide cell's start and the double below it, 0 and 1 - 2**-53."""
-    starts = np.arange(montecarlo._CELLS) / montecarlo._CELLS
+    starts = np.arange(CELLS) / CELLS
     u = np.concatenate([cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf),
                         starts, np.nextafter(starts, -np.inf), [0.0, 1 - 2.0**-53]])
     return u[(u >= 0) & (u < 1)]
@@ -521,8 +578,8 @@ def lit_uniforms(cdf):
 
 
 def lit_photons(cdf, v):
-    """(w, _photons' photon numbers) for the lit pulses' uniforms ``v``, every pulse lit."""
-    photons = montecarlo._photons(FixedUniforms(v), v.size, montecarlo._table(cdf, 0.5))
+    """(w, guide_photons' photon numbers) for the lit pulses' uniforms ``v``, every pulse lit."""
+    photons = guide_photons(FixedUniforms(v), v.size, guide_table(cdf))
     return cdf[0] + (1 - cdf[0]) * v, photons
 
 
@@ -530,11 +587,12 @@ INDEXED_MUS = [0.0, 1e-300, 1e-9, 0.01, 0.5, 3.0, 20.0, 49.9, 50.0, 100.0, monte
 
 
 class TestIndexedSearch:
-    """_photons' guide lookup of w gives exactly np.searchsorted(cdf, w, side="right")."""
+    """guide_photons' guide lookup of w gives exactly np.searchsorted(cdf, w, side="right"), so
+    guide_order_counts is the guide-table draw order it stands for."""
 
     @pytest.mark.parametrize("mu", INDEXED_MUS)
     def test_edge_uniforms(self, mu):
-        cdf = montecarlo._photon_cdf(mu)
+        cdf = photon_cdf(mu)
         w, photons = lit_photons(cdf, lit_uniforms(cdf))
         assert np.array_equal(photons, np.searchsorted(cdf, w, side="right"))
         assert np.all(photons >= 1)
@@ -544,7 +602,7 @@ class TestIndexedSearch:
         assert w[0] == cdf[0] and photons[0] == (1 if cdf[0] > 0 else np.count_nonzero(cdf == 0))
         assert photons[-1] == cdf.size
         assert (w[-1] == 1.0) == (mu <= 0.5)
-        assert montecarlo._table(cdf, 0.5)[0].size == montecarlo._CELLS + 1
+        assert guide_table(cdf)[0].size == CELLS + 1
         # each edge at or above P(N=0) is hit exactly, or sits between the w of two adjacent
         # doubles v, so that no uniform maps onto it (w is nondecreasing in v)
         v = lit_uniforms(cdf)
@@ -556,7 +614,7 @@ class TestIndexedSearch:
 
     def test_entries_on_cell_boundaries(self):
         # a table whose entries sit at cell starts and one double either side of them
-        starts = np.arange(1, montecarlo._CELLS) / montecarlo._CELLS
+        starts = np.arange(1, CELLS) / CELLS
         cdf = np.sort(np.concatenate([starts, np.nextafter(starts, -np.inf),
                                       np.nextafter(starts, np.inf)]))
         w, photons = lit_photons(cdf, lit_uniforms(cdf))
@@ -564,10 +622,10 @@ class TestIndexedSearch:
 
     @pytest.mark.parametrize("mu", INDEXED_MUS)
     def test_seeded_blocks(self, mu):
-        cdf = montecarlo._photon_cdf(mu)
-        table = montecarlo._table(cdf, 0.5)
+        cdf = photon_cdf(mu)
+        table = guide_table(cdf)
         for b in range(4):
-            photons = montecarlo._photons(montecarlo._block_rng(3, b), BLOCK_SIZE, table)
+            photons = guide_photons(montecarlo._block_rng(3, b), BLOCK_SIZE, table)
             rng = montecarlo._block_rng(3, b)
             w = cdf[0] + (1 - cdf[0]) * rng.random(rng.binomial(BLOCK_SIZE, 1 - cdf[0]))
             assert np.array_equal(photons, np.searchsorted(cdf, w, side="right"))
@@ -673,8 +731,8 @@ SIGNAL_ETAS = [0.0, 1e-12, 0.0076, 0.1056, 0.9, 1.0]
 
 
 def session_chance(eta):
-    """chance[n] of a session's table at mu = 100, whose K = 193 covers SIGNAL_PHOTONS."""
-    return montecarlo._table(montecarlo._photon_cdf(100.0), eta)[2]
+    """chance[n] of a session at mu = 100, whose K = 193 covers SIGNAL_PHOTONS."""
+    return montecarlo._click_chance(eta, montecarlo._photon_pmf(100.0).size)
 
 
 class TestSignalClicks:
@@ -684,8 +742,9 @@ class TestSignalClicks:
         """Pooled over 16 blocks of n-photon pulses, the click fraction is within 4 SE
         of 1 - (1 - eta)**n (exactly 0 or 1 where that is its value)."""
         rng = np.random.default_rng([n, SIGNAL_ETAS.index(eta)])
-        photons = np.full(BLOCK_SIZE, n)
         chances = session_chance(eta)
+        photons = np.zeros(chances.size, dtype=np.int64)
+        photons[n] = BLOCK_SIZE
         clicks = sum(montecarlo._signal(rng, photons, chances) for _ in range(16))
         total = 16 * BLOCK_SIZE
         chance = float(click_chance(n, eta))
@@ -697,25 +756,21 @@ class TestSignalClicks:
         rng = np.random.default_rng(4)
         with np.errstate(all="raise"):
             chances = session_chance(eta)
-            photons = rng.integers(1, chances.size, BLOCK_SIZE // 3)  # every n = 1 .. K
+            photons = np.bincount(rng.integers(1, chances.size, BLOCK_SIZE // 3),  # every n = 1 .. K
+                                  minlength=chances.size)
             signal = montecarlo._signal(rng, photons, chances)
-        assert signal == (photons.size if eta == 1.0 else 0)
+        assert signal == (photons.sum() if eta == 1.0 else 0)
 
     @pytest.mark.parametrize("eta", SIGNAL_ETAS)
     @pytest.mark.parametrize("n", SIGNAL_PHOTONS)
     def test_threshold_within_1e15_of_exact(self, n, eta):
-        """A uniform 1e-15 (relative) below the exact chance clicks and one 1e-15 above
-        it does not, so the threshold -expm1(n log1p(-eta)) is that close to it."""
-        chance = click_chance(n, eta)
-        with mpmath.workdps(50):
-            below, above = (float(chance * (1 + d)) for d in (-mpmath.mpf("1e-15"), mpmath.mpf("1e-15")))
-        photons = np.array([n])
+        """The chance -expm1(n log1p(-eta)) that _signal thins the n-photon pulses at is within
+        1e-15 (relative) of the exact one, so exactly 0 or 1 where that is its value."""
+        exact = click_chance(n, eta)
         with np.errstate(all="raise"):
-            chances = session_chance(eta)
-            clicked_below = montecarlo._signal(FixedUniforms(below), photons, chances)
-            clicked_above = montecarlo._signal(FixedUniforms(above), photons, chances)
-        assert clicked_below or chance == 0
-        assert not clicked_above or chance == 1
+            chance = session_chance(eta)[n]
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(float(chance)) - exact) <= mpmath.mpf("1e-15") * exact, (n, eta)
 
 
 class TestClickTable:
@@ -724,14 +779,14 @@ class TestClickTable:
     def test_equals_expm1_bit_for_bit(self, mu, eta):
         """The session's chance[n] is -expm1(n log1p(-eta)) bit for bit for n = 1 .. K, and 0
         at n = 0; building it warns of nothing, also at eta = 1, where log1p(-eta) is -inf."""
-        cdf = montecarlo._photon_cdf(mu)
+        pmf = montecarlo._photon_pmf(mu)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            chance = montecarlo._table(cdf, eta)[2]
-        n = np.arange(1, cdf.size + 1)
+            chance = montecarlo._click_chance(eta, pmf.size)
+        n = np.arange(1, pmf.size)
         with np.errstate(divide="ignore"):
             expected = -np.expm1(n * np.log1p(-eta))
-        assert chance.size == cdf.size + 1 and chance[0] == 0.0
+        assert chance.size == pmf.size and chance[0] == 0.0
         assert chance[1:].tobytes() == expected.tobytes()
 
 
@@ -744,8 +799,8 @@ class TestOnePulseBlock:
             s = simulate_session(p, mu, BLOCK_SIZE + 1, seed)
             assert counts(s) == serial_counts(p, mu, BLOCK_SIZE + 1, seed)
             rng = np.random.default_rng(seed)
-            last = montecarlo._block_counts(rng, 1,
-                                            montecarlo._table(montecarlo._photon_cdf(mu), transmittance(p)),
+            pmf = montecarlo._photon_pmf(mu)
+            last = montecarlo._block_counts(rng, 1, pmf, montecarlo._click_chance(transmittance(p), pmf.size),
                                             background_yield(p), p.e_det)
             assert 0 <= last[2] <= last[1] <= last[0] <= 1
             assert last[0] == 1 or background_yield(p) < 1.0
