@@ -363,7 +363,11 @@ class TestThreadedBlocks:
         simulate_session(ChannelParams().at_length(10.5), 0.5, 5 * BLOCK_SIZE, 0)
         assert callers == [threading.get_ident()] * 5
 
-    def test_one_generator_alive_at_a_time(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_generators_made_in_windows(self, monkeypatch, cpus):
+        # whatever CPU count the host reports, the window is one generator: each block's is
+        # made in block order and dropped before the next block's
+        _set_cpus(monkeypatch, cpus)
         p = ChannelParams().at_length(10.5)
         expected = simulate_session(p, 0.5, 10**7, 17)
         real = montecarlo._block_rng
